@@ -25,6 +25,8 @@ use std::sync::OnceLock;
 
 use bi_util::Json;
 
+use crate::span::{Recorder, SpanEvent};
+
 /// Log severity, most severe first so `Ord` matches "is at least as
 /// severe as".
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -133,6 +135,36 @@ pub fn info(component: &str, msg: &str, fields: &[(&str, Json)]) {
 /// [`log`] at [`Level::Debug`].
 pub fn debug(component: &str, msg: &str, fields: &[(&str, Json)]) {
     log(Level::Debug, component, msg, fields);
+}
+
+/// Slow-request sampling, shared by every server: when a request's
+/// `total_us` reaches the `slow_us` threshold, logs its whole span tree
+/// (as `recorder` holds it for `trace_id`) as one `warn` line. A no-op
+/// without a threshold, under it, or with `warn` filtered out — so the
+/// hot path pays one comparison.
+pub fn slow_request(
+    component: &str,
+    recorder: &Recorder,
+    slow_us: Option<u64>,
+    trace_id: u64,
+    total_us: u64,
+) {
+    if slow_us.is_none_or(|limit| total_us < limit) || !enabled(Level::Warn) {
+        return;
+    }
+    let spans = recorder.trace_spans(trace_id);
+    warn(
+        component,
+        "slow request",
+        &[
+            ("trace", Json::from_u64(trace_id)),
+            ("total_us", Json::from_u64(total_us)),
+            (
+                "spans",
+                Json::Arr(spans.iter().map(SpanEvent::to_json).collect()),
+            ),
+        ],
+    );
 }
 
 #[cfg(test)]

@@ -5,12 +5,14 @@
 //! game lands on exactly one backend's cache. Dead backends are
 //! ejected by a health prober (and by forwarding failures) and their
 //! arc of the key space fails over clockwise; the rest of the ring is
-//! untouched.
+//! untouched. When no backend is live, the router solves locally
+//! (`X-Backend: local`). Requests are framed by the same parser as
+//! `bi-serve`'s, so both answer a malformed request with the same status.
 //!
 //! ```text
 //! bi-router --addr 127.0.0.1:0 \
 //!           --backends 127.0.0.1:4101,127.0.0.1:4102,127.0.0.1:4103 \
-//!           --vnodes 64 --fallback local
+//!           --replication 2
 //! ```
 //!
 //! Endpoints: `POST /solve`, `POST /solve_batch`, `GET /metrics`
@@ -25,7 +27,7 @@ use std::process::exit;
 use std::time::Duration;
 
 use bi_obs::log as olog;
-use bi_service::{FallbackMode, Router, RouterConfig};
+use bi_service::{Router, RouterConfig};
 use bi_util::Json;
 
 const USAGE: &str = "\
@@ -33,12 +35,12 @@ bi-router — consistent-hash router over a bi-serve fleet
 
 USAGE: bi-router --backends HOST:PORT,... [OPTIONS]
 
+Keys are routed over a consistent-hash ring with 64 virtual nodes per
+backend. When no backend is live the router solves the request itself.
+
 OPTIONS:
   --addr HOST:PORT      bind address (default 127.0.0.1:0 = ephemeral port)
   --backends LIST       comma-separated bi-serve addresses (required)
-  --vnodes N            virtual nodes per backend on the ring (default 64)
-  --fallback MODE       `local` solves on the router when no backend is
-                        live, `503` refuses instead (default local)
   --probe-ms N          health-probe sweep interval in ms (default 500)
   --fail-threshold N    consecutive failures before eject (default 2)
   --replication N       replica owners per key: solved results are written
@@ -78,14 +80,6 @@ fn parse_args() -> Result<RouterConfig, String> {
                     .filter(|a| !a.is_empty())
                     .map(String::from)
                     .collect();
-            }
-            "--vnodes" => config.vnodes = parse_num(&flag, &value)?,
-            "--fallback" => {
-                config.fallback = match value.as_str() {
-                    "local" => FallbackMode::Local,
-                    "503" => FallbackMode::Unavailable,
-                    other => return Err(format!("--fallback takes local|503, got `{other}`")),
-                };
             }
             "--probe-ms" => {
                 config.probe_interval = Duration::from_millis(parse_num(&flag, &value)? as u64);
@@ -140,8 +134,6 @@ fn main() {
         "starting",
         &[
             ("backends", Json::str(config.backends.join(","))),
-            ("vnodes", Json::from_u64(config.vnodes as u64)),
-            ("fallback", Json::str(format!("{:?}", config.fallback))),
             (
                 "probe_ms",
                 Json::from_u64(config.probe_interval.as_millis() as u64),

@@ -7,8 +7,8 @@
 //! horizontal sharding trivially correct: route each request to the
 //! backend owning its key and that backend's cache concentrates exactly
 //! its arc of the key space. The ring is a classic consistent hash with
-//! virtual nodes over the same 64-bit FNV-1a space the cache indexes
-//! with ([`bi_util::fnv1a`]).
+//! 64 virtual nodes per backend over the same 64-bit FNV-1a space the
+//! cache indexes with ([`bi_util::fnv1a`]).
 //!
 //! ```text
 //!   client ──► bi-router ──hash(cache_key)──► ring ──► backend k
@@ -17,7 +17,7 @@
 //!                 │                  clockwise successor walk
 //!                 │ every backend dead
 //!                 ▼
-//!        fallback: local solve │ 503
+//!        fallback: local solve (X-Backend: local)
 //! ```
 //!
 //! **Routing is deterministic**: the ring is built once from the
@@ -28,6 +28,12 @@
 //! key whose first live point belonged to someone else keeps its
 //! mapping), and readmission restores the original assignment exactly.
 //! Both properties are locked by unit tests below.
+//!
+//! **Framing**: downstream requests are read with [`parse_head`], the
+//! same incremental parser `bi-serve`'s reactor uses, into one reusable
+//! buffer per connection (thread-per-connection, blocking sockets).
+//! Pipelined requests are answered in order, and a protocol error gets
+//! the same status from the router as from a backend, then a close.
 //!
 //! Health is probed (`GET /healthz`) on an interval; forwarding failures
 //! count against the same consecutive-failure threshold, so a backend
@@ -53,19 +59,19 @@
 //! ejection); retryable statuses (`429`, `5xx`) are retried across
 //! replicas and rounds with capped, deterministically jittered
 //! exponential backoff, honoring an upstream `Retry-After`. An exhausted
-//! budget falls back per [`FallbackMode`], exactly like a dead cluster.
+//! budget falls back to a local solve, exactly like a dead cluster.
 //!
 //! **Tracing**: every downstream request gets a 64-bit trace id —
-//! adopted from an `X-Bi-Trace` header when present, minted otherwise —
-//! and a root `route` span. The router records `ring_lookup` and one
-//! `upstream` span per forward attempt into its [`Recorder`], and
-//! forwards the trace id plus the upstream span id (`X-Bi-Trace` /
-//! `X-Bi-Parent`) so the backend's own spans nest under this hop. The
-//! local fallback engine shares the router's recorder, so fallback
-//! solves land in the same `GET /debug/trace` dump.
+//! adopted from a nonzero `X-Bi-Trace` header when present, minted
+//! otherwise — and a root `route` span. The router records
+//! `ring_lookup` and one `upstream` span per forward attempt into its
+//! [`Recorder`], and forwards the trace id plus the upstream span id
+//! (`X-Bi-Trace` / `X-Bi-Parent`) so the backend's own spans nest under
+//! this hop. The local fallback engine shares the router's recorder, so
+//! fallback solves land in the same `GET /debug/trace` dump.
 
 use std::collections::{HashSet, VecDeque};
-use std::io::{self, BufReader};
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -76,18 +82,12 @@ use bi_obs::{Recorder, Stage, StageTimings, TraceCtx};
 use bi_util::{fnv1a, Decode, Encode, Json};
 
 use crate::cache::{CacheConfig, ShardedLru};
-use crate::http::{read_request, ClientResponse, HttpClient, Response};
+use crate::http::{parse_head, ClientResponse, Head, HttpClient, Response};
+use crate::server::READ_CHUNK;
 use crate::service::{error_body, BatchRequest, FastOutcome, SolveRequest, SolveService};
 
-/// What the router does with a request when every backend is dead.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FallbackMode {
-    /// Solve locally on the router (it embeds a full [`SolveService`]) —
-    /// degraded latency, no availability loss.
-    Local,
-    /// Answer `503 Service Unavailable` — the router never computes.
-    Unavailable,
-}
+/// Virtual points per backend on the [`HashRing`] the router builds.
+const VNODES: usize = 64;
 
 /// A consistent-hash ring: `vnodes` virtual points per backend over the
 /// 64-bit FNV-1a space, routing a key hash to the first live backend at
@@ -177,10 +177,6 @@ pub struct RouterConfig {
     pub addr: String,
     /// Backend `host:port` addresses the ring is built over.
     pub backends: Vec<String>,
-    /// Virtual points per backend.
-    pub vnodes: usize,
-    /// What to do when every backend is dead.
-    pub fallback: FallbackMode,
     /// How often the prober sweeps `/healthz` across backends.
     pub probe_interval: Duration,
     /// Consecutive failures (probe or forward) that eject a backend.
@@ -205,8 +201,7 @@ pub struct RouterConfig {
     /// killing any single backend loses no cached work.
     pub replication: usize,
     /// Total deadline budget per `/solve`: retries and backoff sleeps
-    /// stop once it is spent and the request falls back per
-    /// [`FallbackMode`].
+    /// stop once it is spent and the request is solved locally.
     pub request_deadline: Duration,
     /// First-round retry backoff (doubled per round, deterministically
     /// jittered, capped by `retry_max_backoff`).
@@ -223,14 +218,12 @@ pub struct RouterConfig {
 }
 
 impl Default for RouterConfig {
-    /// Ephemeral port, no backends, 64 vnodes, local fallback, 500 ms
-    /// probes, 2-failure ejection, 8-connection pools.
+    /// Ephemeral port, no backends, 500 ms probes, 2-failure ejection,
+    /// 8-connection pools.
     fn default() -> Self {
         RouterConfig {
             addr: "127.0.0.1:0".into(),
             backends: Vec::new(),
-            vnodes: 64,
-            fallback: FallbackMode::Local,
             probe_interval: Duration::from_millis(500),
             fail_threshold: 2,
             read_timeout: Duration::from_secs(10),
@@ -314,7 +307,6 @@ struct RouterMetrics {
     responses_4xx: AtomicU64,
     responses_5xx: AtomicU64,
     fallback_local: AtomicU64,
-    fallback_503: AtomicU64,
     /// Forward attempts that failed at the transport (connect/read) —
     /// these feed ejection and fail over to the next replica.
     retries_transport: AtomicU64,
@@ -384,7 +376,8 @@ struct Shared {
     metrics: RouterMetrics,
     /// Exact canonical body bytes → routing hash (skips re-decode).
     key_cache: ShardedLru<u64>,
-    /// The local-solve fallback engine (shares `recorder`).
+    /// The local-solve fallback engine (shares `recorder`): answers
+    /// whatever no live backend can.
     local: SolveService,
     /// The span flight recorder behind `GET /debug/trace`.
     recorder: Arc<Recorder>,
@@ -409,7 +402,7 @@ impl Router {
     /// Returns the bind failure.
     pub fn bind(config: RouterConfig) -> io::Result<Router> {
         let listener = TcpListener::bind(&config.addr)?;
-        let ring = HashRing::new(&config.backends, config.vnodes);
+        let ring = HashRing::new(&config.backends, VNODES);
         let backends = config.backends.iter().cloned().map(Backend::new).collect();
         let key_cache = ShardedLru::new(config.key_cache);
         let recorder = Arc::new(Recorder::default());
@@ -546,146 +539,123 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// One downstream connection: read requests, dispatch, write responses,
-/// until idle timeout, EOF, or shutdown.
+/// One downstream connection: frame requests with [`parse_head`] in one
+/// reusable buffer, answer each in order (pipelined ones included),
+/// until the idle timeout, EOF, a protocol error, or shutdown.
 fn handle_conn(stream: &TcpStream, shared: &Shared) {
-    if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
+    // One read timeout for the connection's life: short, so a blocked
+    // read wakes to check shutdown and the idle deadline.
+    let poll = Duration::from_millis(100).min(shared.config.read_timeout);
+    if stream.set_nonblocking(false).is_err()
+        || stream.set_nodelay(true).is_err()
+        || stream.set_read_timeout(Some(poll)).is_err()
+    {
         return;
     }
-    let Ok(clone) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(clone);
-    let poll = Duration::from_millis(100).min(shared.config.read_timeout);
+    let mut buf: Vec<u8> = Vec::with_capacity(READ_CHUNK);
+    let mut chunk = [0u8; READ_CHUNK];
     let mut last_activity = Instant::now();
     loop {
+        // Answer every complete request already buffered before reading
+        // again.
+        loop {
+            let head = match parse_head(&buf) {
+                Ok(Some(head)) if buf.len() >= head.total_len() => head,
+                Ok(_) => break, // head or body still in flight
+                Err(e) => {
+                    // Protocol errors poison framing: answer and close.
+                    shared.metrics.record_status(e.status);
+                    let response = Response::json(e.status, error_body(&e.msg));
+                    let _ = response.write(&mut &*stream, false);
+                    return;
+                }
+            };
+            if !serve_request(stream, shared, &buf, &head) {
+                return;
+            }
+            buf.drain(..head.total_len());
+            last_activity = Instant::now();
+        }
         if shared.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        // Between requests, wait with a short poll so shutdown and the
-        // idle timeout stay responsive. `peek` never consumes, so a
-        // timeout here can't tear a partially read request; buffered
-        // pipelined bytes skip the gate entirely.
-        if reader.buffer().is_empty() {
-            let mut probe = [0u8; 1];
-            if stream.set_read_timeout(Some(poll)).is_err() {
-                return;
+        match (&mut &*stream).read(&mut chunk) {
+            Ok(0) => return, // EOF
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                last_activity = Instant::now();
             }
-            match stream.peek(&mut probe) {
-                Ok(0) => return, // clean EOF
-                Ok(_) => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if last_activity.elapsed() > shared.config.read_timeout {
-                        return;
-                    }
-                    continue;
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                if last_activity.elapsed() > shared.config.read_timeout {
+                    return; // idle (or stalled mid-request) too long
                 }
-                Err(_) => return,
             }
-        }
-        // A request is arriving: give it the full read timeout.
-        if stream
-            .set_read_timeout(Some(shared.config.read_timeout))
-            .is_err()
-        {
-            return;
-        }
-        let request = match read_request(&mut reader) {
-            Ok(Some(Ok(request))) => request,
-            Ok(Some(Err(e))) => {
-                // Protocol errors poison framing: answer and close.
-                shared.metrics.record_status(e.status);
-                let response = Response::json(e.status, error_body(&e.msg));
-                let _ = response.write(&mut &*stream, false);
-                return;
-            }
-            Ok(None) | Err(_) => return,
-        };
-        last_activity = Instant::now();
-        shared
-            .metrics
-            .requests_total
-            .fetch_add(1, Ordering::Relaxed);
-        let keep_alive = request.keep_alive();
-        // Adopt the caller's trace id (mint one otherwise) and
-        // pre-allocate the root `route` span so the stages recorded
-        // below parent under it. Malformed header values degrade to a
-        // fresh trace, never an error.
-        let t_start = shared.recorder.now_ns();
-        let trace_id = request
-            .header("x-bi-trace")
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&id| id != 0)
-            .unwrap_or_else(|| shared.recorder.new_trace_id());
-        let parent = request
-            .header("x-bi-parent")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        let root = shared.recorder.next_span_id();
-        let ctx = TraceCtx {
-            trace_id,
-            parent: root,
-        };
-        let response = match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/solve") => handle_solve(shared, &request.body, ctx),
-            ("POST", "/solve_batch") => handle_batch(shared, &request.body, ctx),
-            ("GET", "/healthz") => Response::json(200, healthz_json(shared).canonical_bytes()),
-            ("GET", "/metrics") => {
-                Response::json(200, metrics_json(shared).to_string().into_bytes())
-            }
-            ("GET", "/debug/trace") => {
-                Response::json(200, shared.recorder.to_json().to_string().into_bytes())
-            }
-            (_, "/solve" | "/solve_batch" | "/healthz" | "/metrics" | "/debug/trace") => {
-                Response::json(405, error_body("method not allowed"))
-            }
-            _ => Response::json(404, error_body("unknown endpoint")),
-        };
-        shared.metrics.record_status(response.status);
-        let write_failed = response.write(&mut &*stream, keep_alive).is_err();
-        finish_route(shared, trace_id, root, parent, t_start);
-        if write_failed || !keep_alive {
-            return;
+            Err(_) => return,
         }
     }
 }
 
-/// Closes a request's root `route` span (response write included),
-/// feeds the stage histogram, and logs the whole span tree at `warn`
-/// when the request breaches the configured slow threshold.
-fn finish_route(shared: &Shared, trace_id: u64, root: u64, parent: u64, t_start: u64) {
+/// Answers the complete request `head` frames at the front of `buf`;
+/// returns whether the connection stays open.
+fn serve_request(stream: &TcpStream, shared: &Shared, buf: &[u8], head: &Head) -> bool {
+    shared
+        .metrics
+        .requests_total
+        .fetch_add(1, Ordering::Relaxed);
+    // Adopt the caller's trace id (mint one otherwise) and pre-allocate
+    // the root `route` span so the stages recorded below parent under it.
+    let t_start = shared.recorder.now_ns();
+    let trace_id = head
+        .trace_id
+        .unwrap_or_else(|| shared.recorder.new_trace_id());
+    let root = shared.recorder.next_span_id();
+    let ctx = TraceCtx {
+        trace_id,
+        parent: root,
+    };
+    let body = &buf[head.head_len..head.total_len()];
+    let response = match (&buf[head.method.clone()], &buf[head.path.clone()]) {
+        (b"POST", b"/solve") => handle_solve(shared, body, ctx),
+        (b"POST", b"/solve_batch") => handle_batch(shared, body, ctx),
+        (b"GET", b"/healthz") => Response::json(200, healthz_json(shared).canonical_bytes()),
+        (b"GET", b"/metrics") => Response::json(200, metrics_json(shared).to_string().into_bytes()),
+        (b"GET", b"/debug/trace") => {
+            Response::json(200, shared.recorder.to_json().to_string().into_bytes())
+        }
+        (_, b"/solve" | b"/solve_batch" | b"/healthz" | b"/metrics" | b"/debug/trace") => {
+            Response::json(405, error_body("method not allowed"))
+        }
+        _ => Response::json(404, error_body("unknown endpoint")),
+    };
+    shared.metrics.record_status(response.status);
+    let written = response.write(&mut &*stream, head.keep_alive).is_ok();
+    // Close the root `route` span (response write included).
     let now = shared.recorder.now_ns();
     let total_us = now.saturating_sub(t_start) / 1_000;
     shared.metrics.stages.record(Stage::Route, total_us);
-    shared
-        .recorder
-        .record_span(root, trace_id, parent, Stage::Route, t_start, now);
-    let slow = shared
-        .config
-        .trace_slow_us
-        .is_some_and(|limit| total_us >= limit);
-    if slow && bi_obs::log::enabled(bi_obs::Level::Warn) {
-        let spans: Vec<Json> = shared
-            .recorder
-            .trace_spans(trace_id)
-            .iter()
-            .map(bi_obs::SpanEvent::to_json)
-            .collect();
-        bi_obs::log::warn(
-            "bi-router",
-            "slow request",
-            &[
-                ("trace", Json::from_u64(trace_id)),
-                ("total_us", Json::from_u64(total_us)),
-                ("spans", Json::Arr(spans)),
-            ],
-        );
-    }
+    shared.recorder.record_span(
+        root,
+        trace_id,
+        head.parent_span.unwrap_or(0),
+        Stage::Route,
+        t_start,
+        now,
+    );
+    bi_obs::log::slow_request(
+        "bi-router",
+        &shared.recorder,
+        shared.config.trace_slow_us,
+        trace_id,
+        total_us,
+    );
+    written && head.keep_alive
 }
 
 /// The routing hash of a `/solve` body: the FNV-1a of its canonical
@@ -782,19 +752,6 @@ fn finish_stage(shared: &Shared, ctx: TraceCtx, stage: Stage, t0: u64) {
     }
 }
 
-/// The `X-Bi-Trace` / `X-Bi-Parent` header pair for a forwarded hop, so
-/// the backend's spans nest under `span` in the shared trace.
-fn trace_headers(ctx: TraceCtx, span: u64) -> Vec<(&'static str, String)> {
-    if ctx.active() {
-        vec![
-            ("X-Bi-Trace", ctx.trace_id.to_string()),
-            ("X-Bi-Parent", span.to_string()),
-        ]
-    } else {
-        Vec::new()
-    }
-}
-
 /// A status the router retries on another replica (or a later round)
 /// instead of returning: the backend answered — it is alive and earns no
 /// ejection credit — but the work was shed (`429`) or lost (`5xx`).
@@ -820,7 +777,7 @@ fn retry_backoff(config: &RouterConfig, hash: u64, round: u32) -> Duration {
 /// key's backend, failing over clockwise on transport errors (each
 /// feeds the ejection counter), retrying retryable statuses across
 /// replicas and rounds with capped jittered backoff (honoring upstream
-/// `Retry-After`), then falling back per [`FallbackMode`]. A served
+/// `Retry-After`), then falling back to a local solve. A served
 /// `200` schedules write-through/read-repair to the key's other
 /// intended owners.
 fn handle_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
@@ -851,34 +808,7 @@ fn handle_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
             tried[idx] = true;
             attempted = true;
             let backend = &shared.backends[idx];
-            // Each attempt is its own `upstream` span; the span id is
-            // minted up front so it can ride the forwarded headers as
-            // the backend's parent.
-            let upstream_span = shared.recorder.next_span_id();
-            let t_fwd = shared.recorder.now_ns();
-            let outcome = forward(
-                shared,
-                idx,
-                "/solve",
-                body,
-                &trace_headers(ctx, upstream_span),
-            );
-            let t_done = shared.recorder.now_ns();
-            shared
-                .metrics
-                .stages
-                .record(Stage::Upstream, t_done.saturating_sub(t_fwd) / 1_000);
-            if ctx.active() {
-                shared.recorder.record_span(
-                    upstream_span,
-                    ctx.trace_id,
-                    ctx.parent,
-                    Stage::Upstream,
-                    t_fwd,
-                    t_done,
-                );
-            }
-            match outcome {
+            match forward(shared, idx, "/solve", body, ctx) {
                 Ok(upstream) if retryable_status(upstream.status) => {
                     backend.record_success();
                     let cause = if upstream.status == 429 {
@@ -1024,7 +954,7 @@ fn repair_loop(shared: &Shared) {
             std::thread::sleep(Duration::from_millis(20));
             continue;
         }
-        match forward(shared, job.backend, "/cache_put", &job.body, &[]) {
+        match send(shared, job.backend, "/cache_put", &job.body, &[]) {
             Ok(response) if response.status == 200 => {
                 shared
                     .repair
@@ -1055,10 +985,45 @@ fn repair_loop(shared: &Shared) {
     }
 }
 
-/// Forwards one request to backend `idx` over a pooled connection,
+/// Forwards one request to backend `idx` as an `upstream` span of `ctx`:
+/// the span id is minted up front so it rides the `X-Bi-Trace` /
+/// `X-Bi-Parent` headers as the backend's parent, and the hop feeds the
+/// `upstream` histogram whether or not the request is traced.
+fn forward(
+    shared: &Shared,
+    idx: usize,
+    path: &str,
+    body: &[u8],
+    ctx: TraceCtx,
+) -> io::Result<ClientResponse> {
+    let span = shared.recorder.next_span_id();
+    let headers = if ctx.active() {
+        vec![
+            ("X-Bi-Trace", ctx.trace_id.to_string()),
+            ("X-Bi-Parent", span.to_string()),
+        ]
+    } else {
+        Vec::new()
+    };
+    let t0 = shared.recorder.now_ns();
+    let outcome = send(shared, idx, path, body, &headers);
+    let t1 = shared.recorder.now_ns();
+    shared
+        .metrics
+        .stages
+        .record(Stage::Upstream, t1.saturating_sub(t0) / 1_000);
+    if ctx.active() {
+        shared
+            .recorder
+            .record_span(span, ctx.trace_id, ctx.parent, Stage::Upstream, t0, t1);
+    }
+    outcome
+}
+
+/// Sends one request to backend `idx` over a pooled connection,
 /// retrying once on a fresh socket (a pooled connection may have idled
 /// out on the backend side between bursts).
-fn forward(
+fn send(
     shared: &Shared,
     idx: usize,
     path: &str,
@@ -1090,38 +1055,33 @@ fn release(shared: &Shared, idx: usize, client: HttpClient) {
     }
 }
 
-/// Answers a `/solve` when no live backend is left. The local engine
-/// shares the router's recorder, so its `cache`/`solve`/`encode` spans
-/// land in the same trace as the routing stages.
+/// Answers a `/solve` when no live backend is left: the router embeds a
+/// full [`SolveService`], so a dead cluster costs latency, not
+/// availability. The local engine shares the router's recorder, so its
+/// `cache`/`solve`/`encode` spans land in the same trace as the routing
+/// stages.
 fn fallback_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
-    match shared.config.fallback {
-        FallbackMode::Unavailable => {
-            shared.metrics.fallback_503.fetch_add(1, Ordering::Relaxed);
-            Response::json(503, error_body("no live backend")).with_header("X-Backend", "none")
-        }
-        FallbackMode::Local => {
-            shared
-                .metrics
-                .fallback_local
-                .fetch_add(1, Ordering::Relaxed);
-            let served = match shared.local.try_serve_fast(body, ctx) {
-                Ok(FastOutcome::Hit(served)) => served,
-                Ok(FastOutcome::Miss(prepared)) => match shared.local.complete_solve(*prepared) {
-                    Ok(served) => served,
-                    Err(e) => return Response::json(422, error_body(&e.to_string())),
-                },
-                Err(e) => return Response::json(400, error_body(&e.to_string())),
-            };
-            Response::json(200, served.body.to_vec())
-                .with_header("X-Cache", if served.cache_hit { "hit" } else { "miss" })
-                .with_header("X-Backend", "local")
-        }
-    }
+    shared
+        .metrics
+        .fallback_local
+        .fetch_add(1, Ordering::Relaxed);
+    let served = match shared.local.try_serve_fast(body, ctx) {
+        Ok(FastOutcome::Hit(served)) => served,
+        Ok(FastOutcome::Miss(prepared)) => match shared.local.complete_solve(*prepared) {
+            Ok(served) => served,
+            Err(e) => return Response::json(422, error_body(&e.to_string())),
+        },
+        Err(e) => return Response::json(400, error_body(&e.to_string())),
+    };
+    Response::json(200, served.body.to_vec())
+        .with_header("X-Cache", if served.cache_hit { "hit" } else { "miss" })
+        .with_header("X-Backend", "local")
 }
 
 /// Splits a `/solve_batch` by each game's cache key, forwards the
 /// sub-batches, and re-merges the reports in request order. A sub-batch
-/// whose backend fails (transport or non-200) falls back whole.
+/// whose backend fails (transport or non-200) falls back whole; a batch
+/// answered entirely locally carries `X-Backend: local`.
 fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
     shared
         .metrics
@@ -1157,32 +1117,7 @@ fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
         };
         let sub_body = sub.encode().canonical_bytes();
         let backend = &shared.backends[idx];
-        // One `upstream` span per sub-batch hop, same as `/solve`.
-        let upstream_span = shared.recorder.next_span_id();
-        let t_fwd = shared.recorder.now_ns();
-        let outcome = forward(
-            shared,
-            idx,
-            "/solve_batch",
-            &sub_body,
-            &trace_headers(ctx, upstream_span),
-        );
-        let t_done = shared.recorder.now_ns();
-        shared
-            .metrics
-            .stages
-            .record(Stage::Upstream, t_done.saturating_sub(t_fwd) / 1_000);
-        if ctx.active() {
-            shared.recorder.record_span(
-                upstream_span,
-                ctx.trace_id,
-                ctx.parent,
-                Stage::Upstream,
-                t_fwd,
-                t_done,
-            );
-        }
-        match outcome {
+        match forward(shared, idx, "/solve_batch", &sub_body, ctx) {
             Ok(upstream) if upstream.status == 200 => {
                 backend.record_success();
                 backend.forwarded.fetch_add(1, Ordering::Relaxed);
@@ -1210,6 +1145,7 @@ fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
         }
         unrouted.extend_from_slice(group);
     }
+    let all_local = !batch.games.is_empty() && unrouted.len() == batch.games.len();
     if !unrouted.is_empty() {
         fallback_batch(shared, &batch, &unrouted, &mut merged);
     }
@@ -1217,10 +1153,17 @@ fn handle_batch(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
         .into_iter()
         .map(|r| r.expect("every game is routed, merged, or fallen back"))
         .collect();
-    Response::json(
+    let response = Response::json(
         200,
         Json::Obj(vec![("reports".into(), Json::Arr(reports))]).canonical_bytes(),
-    )
+    );
+    // Mark a batch the router answered entirely by itself, as `/solve`
+    // marks a local solve.
+    if all_local {
+        response.with_header("X-Backend", "local")
+    } else {
+        response
+    }
 }
 
 /// Parses an upstream `/solve_batch` body into its per-game report
@@ -1232,48 +1175,33 @@ fn split_reports(body: &[u8], expected: usize) -> Option<Vec<Json>> {
     (reports.len() == expected).then(|| reports.to_vec())
 }
 
-/// Answers the still-unanswered games of a batch locally (or with
-/// per-game errors under [`FallbackMode::Unavailable`]).
+/// Answers the still-unanswered games of a batch locally.
 fn fallback_batch(
     shared: &Shared,
     batch: &BatchRequest,
     pending: &[usize],
     merged: &mut [Option<Json>],
 ) {
-    match shared.config.fallback {
-        FallbackMode::Unavailable => {
-            shared.metrics.fallback_503.fetch_add(1, Ordering::Relaxed);
-            for &i in pending {
-                merged[i] = Some(Json::Obj(vec![(
-                    "error".into(),
-                    Json::str("no live backend"),
-                )]));
+    shared
+        .metrics
+        .fallback_local
+        .fetch_add(1, Ordering::Relaxed);
+    let sub = BatchRequest {
+        games: pending.iter().map(|&i| batch.games[i].clone()).collect(),
+        config: batch.config,
+    };
+    let results = shared.local.solve_batch(&sub);
+    for (&orig, result) in pending.iter().zip(results) {
+        merged[orig] = Some(match result {
+            Ok(outcome) => {
+                let text = std::str::from_utf8(&outcome.body).expect("canonical JSON is UTF-8");
+                Json::Obj(vec![(
+                    "report".into(),
+                    Json::parse(text).expect("cached bodies are valid JSON"),
+                )])
             }
-        }
-        FallbackMode::Local => {
-            shared
-                .metrics
-                .fallback_local
-                .fetch_add(1, Ordering::Relaxed);
-            let sub = BatchRequest {
-                games: pending.iter().map(|&i| batch.games[i].clone()).collect(),
-                config: batch.config,
-            };
-            let results = shared.local.solve_batch(&sub);
-            for (&orig, result) in pending.iter().zip(results) {
-                merged[orig] = Some(match result {
-                    Ok(outcome) => {
-                        let text =
-                            std::str::from_utf8(&outcome.body).expect("canonical JSON is UTF-8");
-                        Json::Obj(vec![(
-                            "report".into(),
-                            Json::parse(text).expect("cached bodies are valid JSON"),
-                        )])
-                    }
-                    Err(e) => Json::Obj(vec![("error".into(), Json::str(e.to_string()))]),
-                });
-            }
-        }
+            Err(e) => Json::Obj(vec![("error".into(), Json::str(e.to_string()))]),
+        });
     }
 }
 
@@ -1367,10 +1295,10 @@ fn metrics_json(shared: &Shared) -> Json {
         ),
         (
             "fallback".into(),
-            Json::Obj(vec![
-                ("local_solves".into(), load(&shared.metrics.fallback_local)),
-                ("unavailable_503".into(), load(&shared.metrics.fallback_503)),
-            ]),
+            Json::Obj(vec![(
+                "local_solves".into(),
+                load(&shared.metrics.fallback_local),
+            )]),
         ),
         (
             "retries".into(),

@@ -6,10 +6,13 @@
 //! status responses. Not supported (requests using them get `400`/`501`):
 //! chunked transfer encoding, upgrades, continuations.
 //!
-//! Both sides of the repo speak this module: the server parses requests
-//! with [`read_request`] and answers with [`Response::write`]; the load
-//! generator writes requests with [`write_request`] and parses responses
-//! with [`read_response`].
+//! Both sides of the repo speak this module. Every server — `bi-serve`'s
+//! reactor and `bi-router`'s connection threads — frames requests with
+//! the one incremental parser, [`parse_head`], so both answer a bad
+//! request with the same status; responses go out through
+//! [`write_head_into`] (directly or via [`Response::write`]). Clients —
+//! the load generator and the router's upstream pools — write requests
+//! with [`write_request`] and parse responses with [`read_response`].
 
 use std::io::{self, BufRead, Read, Write};
 
@@ -20,43 +23,11 @@ const MAX_HEAD: usize = 64 * 1024;
 /// a few thousand states fits comfortably).
 const MAX_BODY: usize = 64 * 1024 * 1024;
 
-/// A parsed HTTP request.
-#[derive(Clone, Debug)]
-pub struct Request {
-    /// The method verb, uppercased by the client (`GET`, `POST`, …).
-    pub method: String,
-    /// The request target (path + optional query), e.g. `/solve`.
-    pub path: String,
-    /// Header `(name, value)` pairs; names lowercased.
-    pub headers: Vec<(String, String)>,
-    /// The request body (empty without `Content-Length`).
-    pub body: Vec<u8>,
-}
-
-impl Request {
-    /// The value of header `name` (lowercase), if present.
-    #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Whether the connection should stay open after this exchange
-    /// (HTTP/1.1 default unless `Connection: close`).
-    #[must_use]
-    pub fn keep_alive(&self) -> bool {
-        !self
-            .header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
-    }
-}
-
 /// A request parse failure, mapped to a status code by the server.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HttpError {
-    /// The status the server should answer with (`400` or `501`).
+    /// The status the server should answer with (`400`, `413`, `431` or
+    /// `501`).
     pub status: u16,
     /// What was wrong.
     pub msg: String,
@@ -77,86 +48,6 @@ fn bad(msg: impl Into<String>) -> HttpError {
     }
 }
 
-/// Reads one request from `stream`.
-///
-/// Returns `Ok(None)` on clean end-of-stream before any byte of a
-/// request (the keep-alive peer hung up), `Err(Ok(HttpError))`-style
-/// protocol failures as the inner `Result`, and transport failures as
-/// `io::Error`.
-///
-/// # Errors
-///
-/// `io::Error` for transport failures (including read timeouts).
-pub fn read_request<S: BufRead>(stream: &mut S) -> io::Result<Option<Result<Request, HttpError>>> {
-    let mut line = String::new();
-    if read_limited_line(stream, &mut line, MAX_HEAD)? == 0 {
-        return Ok(None); // clean EOF between requests
-    }
-    let mut parts = line.split_whitespace();
-    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return Ok(Some(Err(bad("malformed request line"))));
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Ok(Some(Err(bad("unsupported HTTP version"))));
-    }
-    let method = method.to_string();
-    let path = path.to_string();
-    let mut headers = Vec::new();
-    let mut head_bytes = line.len();
-    loop {
-        line.clear();
-        if read_limited_line(stream, &mut line, MAX_HEAD)? == 0 {
-            return Ok(Some(Err(bad("connection closed inside headers"))));
-        }
-        head_bytes += line.len();
-        if head_bytes > MAX_HEAD {
-            return Ok(Some(Err(bad("header block too large"))));
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
-            break;
-        }
-        let Some((name, value)) = trimmed.split_once(':') else {
-            return Ok(Some(Err(bad("malformed header"))));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    if headers
-        .iter()
-        .any(|(k, v)| k == "transfer-encoding" && !v.eq_ignore_ascii_case("identity"))
-    {
-        return Ok(Some(Err(HttpError {
-            status: 501,
-            msg: "transfer encodings are not supported".into(),
-        })));
-    }
-    let mut body = Vec::new();
-    if let Some(len) = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.as_str())
-    {
-        let Ok(len) = len.parse::<usize>() else {
-            return Ok(Some(Err(bad("invalid Content-Length"))));
-        };
-        if len > MAX_BODY {
-            return Ok(Some(Err(HttpError {
-                status: 413,
-                msg: "body too large".into(),
-            })));
-        }
-        body = vec![0u8; len];
-        stream.read_exact(&mut body)?;
-    }
-    Ok(Some(Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-    })))
-}
-
 /// One request head parsed **in place** from a connection buffer: all
 /// text is addressed as ranges into the scanned bytes, so the reactor's
 /// hot path allocates nothing.
@@ -174,7 +65,8 @@ pub struct Head {
     pub keep_alive: bool,
     /// The trace id adopted from an `X-Bi-Trace` header (decimal u64),
     /// if the peer sent one — how a router's trace id survives the hop
-    /// into a backend. Malformed values are ignored, not errors.
+    /// into a backend. Malformed values and `0` (the untraced id, see
+    /// `TraceCtx::active`) count as absent, not as errors.
     pub trace_id: Option<u64>,
     /// The parent span id from an `X-Bi-Parent` header (decimal u64):
     /// the upstream span this request's root span nests under.
@@ -197,7 +89,7 @@ impl Head {
 /// (read more), `Ok(Some(head))` once the request line and headers are
 /// complete (the body may still be in flight — compare
 /// [`Head::total_len`] with the buffered length), and `Err` on protocol
-/// violations mapped to response statuses, exactly like [`read_request`].
+/// violations mapped to response statuses.
 ///
 /// # Errors
 ///
@@ -256,7 +148,7 @@ pub fn parse_head(buf: &[u8]) -> Result<Option<Head>, HttpError> {
         } else if name.eq_ignore_ascii_case(b"connection") {
             keep_alive = !value.eq_ignore_ascii_case(b"close");
         } else if name.eq_ignore_ascii_case(b"x-bi-trace") {
-            trace_id = parse_decimal_u64(value);
+            trace_id = parse_decimal_u64(value).filter(|&id| id != 0);
         } else if name.eq_ignore_ascii_case(b"x-bi-parent") {
             parent_span = parse_decimal_u64(value);
         } else if name.eq_ignore_ascii_case(b"transfer-encoding")
@@ -658,36 +550,40 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
+    /// `head`'s body slice of `wire` (asserting it fully arrived).
+    fn body_of<'a>(wire: &'a [u8], head: &Head) -> &'a [u8] {
+        assert!(wire.len() >= head.total_len(), "body still in flight");
+        &wire[head.head_len..head.total_len()]
+    }
+
     #[test]
     fn requests_round_trip_through_the_wire_format() {
         let mut wire = Vec::new();
         write_request(&mut wire, "POST", "/solve", b"{\"x\":1}", true).unwrap();
-        let req = read_request(&mut BufReader::new(&wire[..]))
-            .unwrap()
-            .unwrap()
-            .unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/solve");
-        assert_eq!(req.body, b"{\"x\":1}");
-        assert!(req.keep_alive());
-        assert_eq!(req.header("content-type"), Some("application/json"));
+        let head = parse_head(&wire).unwrap().unwrap();
+        assert_eq!(&wire[head.method.clone()], b"POST");
+        assert_eq!(&wire[head.path.clone()], b"/solve");
+        assert_eq!(body_of(&wire, &head), b"{\"x\":1}");
+        assert_eq!(head.total_len(), wire.len());
+        assert!(head.keep_alive);
+        let text = std::str::from_utf8(&wire[..head.head_len]).unwrap();
+        assert!(text.contains("\r\nContent-Type: application/json\r\n"));
     }
 
     #[test]
     fn connection_close_is_honored() {
         let mut wire = Vec::new();
         write_request(&mut wire, "GET", "/healthz", b"", false).unwrap();
-        let req = read_request(&mut BufReader::new(&wire[..]))
-            .unwrap()
-            .unwrap()
-            .unwrap();
-        assert!(!req.keep_alive());
+        let head = parse_head(&wire).unwrap().unwrap();
+        assert!(!head.keep_alive);
+        assert_eq!(head.total_len(), wire.len());
     }
 
     #[test]
     fn eof_between_requests_is_clean() {
-        let wire: &[u8] = b"";
-        assert!(read_request(&mut BufReader::new(wire)).unwrap().is_none());
+        // An empty buffer is "need more bytes", never a protocol error —
+        // a keep-alive peer hanging up between requests is clean.
+        assert!(parse_head(b"").unwrap().is_none());
     }
 
     #[test]
@@ -706,7 +602,7 @@ mod tests {
 
     #[test]
     fn malformed_requests_report_protocol_errors() {
-        let cases: [(&[u8], u16); 4] = [
+        let cases: [(&[u8], u16); 5] = [
             (b"NONSENSE\r\n\r\n", 400),
             (b"GET /x SPDY/3\r\n\r\n", 400),
             (b"POST /solve HTTP/1.1\r\nContent-Length: nine\r\n\r\n", 400),
@@ -714,12 +610,10 @@ mod tests {
                 b"POST /solve HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
                 501,
             ),
+            (b"POST / HTTP/1.1\r\nno-colon-header\r\n\r\n", 400),
         ];
         for (wire, status) in cases {
-            let err = read_request(&mut BufReader::new(wire))
-                .unwrap()
-                .unwrap()
-                .unwrap_err();
+            let err = parse_head(wire).unwrap_err();
             assert_eq!(
                 err.status,
                 status,
@@ -731,15 +625,12 @@ mod tests {
 
     #[test]
     fn oversized_bodies_are_rejected_cheaply() {
+        // The head alone triggers the rejection: no body byte is needed.
         let wire = format!(
             "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY + 1
         );
-        let err = read_request(&mut BufReader::new(wire.as_bytes()))
-            .unwrap()
-            .unwrap()
-            .unwrap_err();
-        assert_eq!(err.status, 413);
+        assert_eq!(parse_head(wire.as_bytes()).unwrap_err().status, 413);
     }
 
     #[test]
@@ -766,7 +657,15 @@ mod tests {
 
     #[test]
     fn incremental_parse_matches_the_blocking_parser_on_errors() {
-        let cases: [(&[u8], u16); 5] = [
+        // Fed byte by byte, as a reactor sees the wire, every malformed
+        // request stays "need more bytes" until its head terminator
+        // arrives, then fails with the status a read of the whole head
+        // at once reports — so partial reads never change the verdict.
+        let huge = format!(
+            "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        let cases: [(&[u8], u16); 6] = [
             (b"NONSENSE\r\n\r\n", 400),
             (b"GET /x SPDY/3\r\n\r\n", 400),
             (b"POST /solve HTTP/1.1\r\nContent-Length: nine\r\n\r\n", 400),
@@ -775,21 +674,22 @@ mod tests {
                 501,
             ),
             (b"POST / HTTP/1.1\r\nno-colon-header\r\n\r\n", 400),
+            (huge.as_bytes(), 413),
         ];
         for (wire, status) in cases {
-            let err = parse_head(wire).unwrap_err();
+            let shown = String::from_utf8_lossy(wire);
+            for cut in 0..wire.len() {
+                assert!(
+                    parse_head(&wire[..cut]).unwrap().is_none(),
+                    "prefix of {cut} bytes of {shown:?} must be incomplete"
+                );
+            }
             assert_eq!(
-                err.status,
+                parse_head(wire).unwrap_err().status,
                 status,
-                "wire {:?}",
-                String::from_utf8_lossy(wire)
+                "wire {shown:?}"
             );
         }
-        let huge = format!(
-            "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY + 1
-        );
-        assert_eq!(parse_head(huge.as_bytes()).unwrap_err().status, 413);
     }
 
     #[test]
@@ -801,6 +701,14 @@ mod tests {
         assert_eq!(parse_head(&wire).unwrap_err().status, 431);
         // Under the cap it is just incomplete.
         assert!(parse_head(&wire[..MAX_HEAD - 1]).unwrap().is_none());
+        // A terminated head over the cap, spread over many short lines,
+        // gets the same status as one long line.
+        let mut many = b"GET / HTTP/1.1\r\n".to_vec();
+        while many.len() <= MAX_HEAD {
+            many.extend_from_slice(b"X-Pad: aaaaaaaaaaaaaaaa\r\n");
+        }
+        many.extend_from_slice(b"\r\n");
+        assert_eq!(parse_head(&many).unwrap_err().status, 431);
     }
 
     #[test]
@@ -824,6 +732,11 @@ mod tests {
         let garbage = b"POST /solve HTTP/1.1\r\nX-Bi-Trace: zebra\r\nContent-Length: 0\r\n\r\n";
         let head = parse_head(garbage).unwrap().unwrap();
         assert_eq!(head.trace_id, None);
+        // 0 is the untraced id: adopting it would silence every span, so
+        // it counts as absent and the server mints a fresh trace.
+        let zero = b"POST /solve HTTP/1.1\r\nX-Bi-Trace: 0\r\nContent-Length: 0\r\n\r\n";
+        let head = parse_head(zero).unwrap().unwrap();
+        assert_eq!(head.trace_id, None);
     }
 
     #[test]
@@ -841,15 +754,13 @@ mod tests {
             ],
         )
         .unwrap();
-        // Visible to the blocking parser as ordinary headers…
-        let req = read_request(&mut BufReader::new(&wire[..]))
-            .unwrap()
-            .unwrap()
-            .unwrap();
-        assert_eq!(req.header("x-bi-trace"), Some("99"));
-        assert_eq!(req.header("x-bi-parent"), Some("3"));
-        // …and to the incremental parser as adopted trace context.
+        // The extras are ordinary header lines on the wire…
         let head = parse_head(&wire).unwrap().unwrap();
+        let text = std::str::from_utf8(&wire[..head.head_len]).unwrap();
+        assert!(text.contains("\r\nX-Bi-Trace: 99\r\n"));
+        assert!(text.contains("\r\nX-Bi-Parent: 3\r\n"));
+        assert_eq!(body_of(&wire, &head), b"{}");
+        // …adopted by the parser as trace context.
         assert_eq!(head.trace_id, Some(99));
         assert_eq!(head.parent_span, Some(3));
         // Without extras the writers emit byte-identical requests.
@@ -884,12 +795,15 @@ mod tests {
     fn two_keep_alive_requests_parse_in_sequence() {
         let mut wire = Vec::new();
         write_request(&mut wire, "GET", "/metrics", b"", true).unwrap();
-        write_request(&mut wire, "GET", "/healthz", b"", true).unwrap();
-        let mut reader = BufReader::new(&wire[..]);
-        let a = read_request(&mut reader).unwrap().unwrap().unwrap();
-        let b = read_request(&mut reader).unwrap().unwrap().unwrap();
-        assert_eq!(a.path, "/metrics");
-        assert_eq!(b.path, "/healthz");
-        assert!(read_request(&mut reader).unwrap().is_none());
+        write_request(&mut wire, "POST", "/solve", b"{}", true).unwrap();
+        // Pipelined: both requests sit in one buffer, consumed in order.
+        let a = parse_head(&wire).unwrap().unwrap();
+        assert_eq!(&wire[a.path.clone()], b"/metrics");
+        wire.drain(..a.total_len());
+        let b = parse_head(&wire).unwrap().unwrap();
+        assert_eq!(&wire[b.path.clone()], b"/solve");
+        assert_eq!(body_of(&wire, &b), b"{}");
+        wire.drain(..b.total_len());
+        assert!(parse_head(&wire).unwrap().is_none());
     }
 }

@@ -14,7 +14,7 @@
 //!                  │                         bi-serve node 1..N, each:
 //!                  │ all dead → fallback
 //!                  ▼
-//!             local solve / 503
+//!             local solve
 //!
 //!                    reactor thread (poll-based, nonblocking)
 //!   client ──► read ──► canon_check ──► raw-byte index ──► hit: bytes out
@@ -112,7 +112,7 @@ pub mod workload;
 
 pub use bi_obs::{Recorder, SpanEvent, Stage, TraceCtx};
 pub use cache::{CacheConfig, CacheStats, ShardedLru};
-pub use cluster::{FallbackMode, HashRing, Router, RouterConfig, RouterHandle};
+pub use cluster::{HashRing, Router, RouterConfig, RouterHandle};
 pub use fault::{FaultKind, FaultPlan};
 pub use metrics::ServiceMetrics;
 pub use persist::{DiskTier, DiskTierConfig, DiskTierStats};

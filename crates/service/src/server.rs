@@ -386,8 +386,9 @@ fn run_job(service: &SolveService, job: Job) -> Completion {
     }
 }
 
-/// Per-connection read burst size.
-const READ_CHUNK: usize = 16 * 1024;
+/// Per-connection read burst size (the router's connection threads read
+/// in the same bursts).
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
 /// One connection's state machine: reading into `buf`, at most one
 /// staged response in `out`, and the in-flight marker while a solve is
@@ -796,23 +797,13 @@ fn finish_trace(conn: &mut Conn, service: &SolveService, trace_slow_us: Option<u
     stages.record(Stage::Write, now.saturating_sub(staged) / 1_000);
     let total_us = now.saturating_sub(trace.req_start_ns) / 1_000;
     stages.record(Stage::Request, total_us);
-    if trace_slow_us.is_some_and(|limit| total_us >= limit)
-        && bi_obs::log::enabled(bi_obs::Level::Warn)
-    {
-        let spans = recorder.trace_spans(trace.trace_id);
-        bi_obs::log::warn(
-            "bi-serve",
-            "slow request",
-            &[
-                ("trace", Json::from_u64(trace.trace_id)),
-                ("total_us", Json::from_u64(total_us)),
-                (
-                    "spans",
-                    Json::Arr(spans.iter().map(bi_obs::SpanEvent::to_json).collect()),
-                ),
-            ],
-        );
-    }
+    bi_obs::log::slow_request(
+        "bi-serve",
+        recorder,
+        trace_slow_us,
+        trace.trace_id,
+        total_us,
+    );
 }
 
 /// Parses and dispatches buffered requests while the connection has no

@@ -9,9 +9,12 @@
 //! over without a 5xx, a disk-backed server reboots warm — the
 //! whole pool replayed as byte-identical cache hits — and one injected
 //! `X-Bi-Trace` id stitches router and backend `/debug/trace` dumps
-//! into a single parent/child span tree.
+//! into a single parent/child span tree. The router frames requests
+//! with the backend's parser: malformed requests get the same status
+//! from both, and pipelined requests are answered in order. With every
+//! backend dead the router solves locally, byte-identically.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -546,4 +549,160 @@ fn a_disk_backed_server_reboots_warm_and_byte_identical() {
     );
     handle.stop();
     std::fs::remove_file(&path).ok();
+}
+
+/// Writes raw `wire` bytes on a fresh connection and returns the
+/// answer's status, or `None` when the peer closed without one. Write
+/// errors are ignored: a server may reject (and close) before the
+/// client has finished sending an oversized head.
+fn raw_status(addr: std::net::SocketAddr, wire: &[u8]) -> Option<u16> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let _ = writer.write_all(wire).and_then(|()| writer.flush());
+    read_response(&mut reader).ok().map(|r| r.status)
+}
+
+#[test]
+fn router_and_backend_answer_protocol_errors_with_the_same_status() {
+    let (backends, router) = start_cluster(1, RouterConfig::default());
+    let mut long_line = b"GET /healthz HTTP/1.1\r\nX-Long: ".to_vec();
+    long_line.resize(70 * 1024, b'a');
+    long_line.extend_from_slice(b"\r\n\r\n");
+    let mut many_lines = b"GET /healthz HTTP/1.1\r\n".to_vec();
+    while many_lines.len() <= 70 * 1024 {
+        many_lines.extend_from_slice(b"X-Pad: aaaaaaaaaaaaaaaaaaaaaaaa\r\n");
+    }
+    many_lines.extend_from_slice(b"\r\n");
+    let oversized = format!(
+        "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        128 * 1024 * 1024
+    );
+    let cases: Vec<(&str, Vec<u8>, u16)> = vec![
+        ("bad request line", b"NONSENSE\r\n\r\n".to_vec(), 400),
+        ("bad version", b"GET /healthz SPDY/3\r\n\r\n".to_vec(), 400),
+        (
+            "bad Content-Length",
+            b"POST /solve HTTP/1.1\r\nContent-Length: nine\r\n\r\n".to_vec(),
+            400,
+        ),
+        (
+            "header without a colon",
+            b"POST /solve HTTP/1.1\r\nno-colon-header\r\n\r\n".to_vec(),
+            400,
+        ),
+        ("oversized Content-Length", oversized.into_bytes(), 413),
+        ("one header line over the cap", long_line, 431),
+        ("a head over the cap in many lines", many_lines, 431),
+        (
+            "chunked transfer encoding",
+            b"POST /solve HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(),
+            501,
+        ),
+    ];
+    for (name, wire, status) in &cases {
+        let direct = raw_status(backends[0].addr(), wire);
+        let routed = raw_status(router.addr(), wire);
+        assert_eq!(direct, Some(*status), "{name}: backend status");
+        assert_eq!(routed, direct, "{name}: router and backend disagree");
+    }
+    router.stop();
+    for backend in backends {
+        backend.stop();
+    }
+}
+
+#[test]
+fn pipelined_keep_alive_requests_through_the_router_are_answered_in_order() {
+    let (backends, router) = start_cluster(2, RouterConfig::default());
+    let games = mixed_workload(141, 2);
+    let bodies: Vec<Vec<u8>> = games.iter().map(solve_body).collect();
+    let expected: Vec<Vec<u8>> = bodies
+        .iter()
+        .map(|body| call(backends[0].addr(), "POST", "/solve", body).body)
+        .collect();
+    // Both requests leave in one write, so the router finds the second
+    // already buffered when it has answered the first.
+    let mut wire = Vec::new();
+    for body in &bodies {
+        write_request(&mut wire, "POST", "/solve", body, true).expect("encode request");
+    }
+    let stream = TcpStream::connect(router.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    writer.write_all(&wire).expect("write pipelined requests");
+    writer.flush().expect("flush");
+    for (i, expected) in expected.iter().enumerate() {
+        let response = read_response(&mut reader).expect("read response");
+        assert_eq!(response.status, 200);
+        assert_eq!(&response.body, expected, "response {i} out of order");
+        assert_eq!(response.header("connection"), Some("keep-alive"));
+    }
+    // The connection stays usable after the pipelined pair.
+    write_request(&mut writer, "GET", "/healthz", b"", false).expect("write");
+    assert_eq!(read_response(&mut reader).expect("read").status, 200);
+    router.stop();
+    for backend in backends {
+        backend.stop();
+    }
+}
+
+#[test]
+fn with_every_backend_dead_the_router_solves_locally_and_byte_identically() {
+    let (backends, router) = start_cluster(
+        2,
+        RouterConfig {
+            fail_threshold: 1,
+            probe_interval: Duration::from_millis(50),
+            ..RouterConfig::default()
+        },
+    );
+    // The oracle: a standalone bi-serve, alive for the whole test so its
+    // port cannot be handed to a restarted cluster member.
+    let standalone = start_backend();
+    let games = mixed_workload(151, 3);
+    let solve = solve_body(&games[0]);
+    let batch = BatchRequest {
+        games: games.clone(),
+        config: SolverConfig::default(),
+    }
+    .canonical_bytes();
+    let direct_solve = call(standalone.addr(), "POST", "/solve", &solve);
+    let direct_batch = call(standalone.addr(), "POST", "/solve_batch", &batch);
+    assert_eq!(direct_solve.status, 200);
+    assert_eq!(direct_batch.status, 200);
+
+    for backend in backends {
+        backend.stop();
+    }
+    let live_backends = || -> Option<u64> {
+        let health = call(router.addr(), "GET", "/healthz", b"");
+        let doc = Json::parse(std::str::from_utf8(&health.body).ok()?).ok()?;
+        doc.get("live_backends").and_then(|v| v.as_u64())
+    };
+    assert!(
+        poll_until(Duration::from_secs(10), || live_backends() == Some(0)),
+        "the prober must eject both stopped backends"
+    );
+
+    let routed_solve = call(router.addr(), "POST", "/solve", &solve);
+    assert_eq!(routed_solve.status, 200);
+    assert_eq!(routed_solve.header("x-backend"), Some("local"));
+    assert_eq!(routed_solve.body, direct_solve.body);
+    let routed_batch = call(router.addr(), "POST", "/solve_batch", &batch);
+    assert_eq!(routed_batch.status, 200);
+    assert_eq!(routed_batch.header("x-backend"), Some("local"));
+    assert_eq!(routed_batch.body, direct_batch.body);
+
+    let local_solves = router
+        .metrics_json()
+        .get("fallback")
+        .and_then(|f| f.get("local_solves").and_then(|v| v.as_u64()))
+        .unwrap_or(0);
+    assert!(local_solves > 0, "the fallback counter never moved");
+    router.stop();
+    standalone.stop();
 }
