@@ -2,13 +2,14 @@
 //! sampling backends, per representation, against the pre-compiled
 //! baseline, written to `BENCH_solver.json`.
 //!
-//! The baseline is a verbatim reimplementation of the pre-compiled-kernel
-//! sweep loop (clone-based odometer over nested `Vec<Vec<Action>>`
-//! profiles, full `social_cost` / `is_equilibrium` recomputation per
-//! profile), timed **in the same run** as the compiled-kernel engine so
-//! the speedup column is an apples-to-apples measurement on the same
-//! machine and instance. The bench also asserts the two sweeps agree
-//! bit-for-bit before reporting.
+//! The baseline is the reference oracle [`bi_core::reference::sweep`],
+//! the pre-compiled-kernel sweep loop (clone-based odometer over nested
+//! `Vec<Vec<Action>>` profiles, full `social_cost` / `is_equilibrium`
+//! recomputation per profile) that the parity tests also check against.
+//! It is timed **in the same run** as the compiled-kernel engine so the
+//! speedup column is an apples-to-apples measurement on the same machine
+//! and instance. The bench also asserts the two sweeps agree bit-for-bit
+//! before reporting.
 //!
 //! Beyond the per-representation suites, the bench covers the two sweep
 //! optimizations of the solver engine:
@@ -34,8 +35,9 @@ use std::time::Instant;
 use bi_constructions::gworst::{GWorstGame, GWorstVariant};
 use bi_constructions::universal::random_bayesian_ncs;
 use bi_core::game::MatrixFormGame;
-use bi_core::model::{BayesianModel, Profile};
+use bi_core::model::BayesianModel;
 use bi_core::random_games::random_bayesian_potential_game;
+use bi_core::reference;
 use bi_core::solve::{Backend, SolveReport, Solver};
 use bi_core::{BayesianGame, SymmetryMode};
 use bi_graph::Direction;
@@ -114,66 +116,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(parsed)
 }
 
-/// Extrema of one baseline sweep (mirrors the solver's internal stats).
-struct BaselineStats {
-    opt_p: f64,
-    best_eq_p: f64,
-    worst_eq_p: f64,
-    evaluated: u128,
-}
-
-/// The pre-compiled exhaustive sweep, verbatim: nested-profile odometer
-/// with one action clone per tick, `social_cost` and `is_equilibrium`
-/// recomputed from scratch on every profile.
-fn baseline_sweep<M: BayesianModel>(model: &M) -> BaselineStats {
-    let mut slots = Vec::new();
-    let mut sets: Vec<Vec<M::Action>> = Vec::new();
-    for i in 0..model.num_agents() {
-        for tau in 0..model.type_count(i) {
-            slots.push((i, tau));
-            sets.push(model.candidate_actions(i, tau).expect("enumerable"));
-        }
-    }
-    let sizes: Vec<usize> = sets.iter().map(Vec::len).collect();
-    let size: u128 = sizes.iter().map(|&s| s as u128).product();
-    let mut profile: Profile<M> = (0..model.num_agents()).map(|_| Vec::new()).collect();
-    for (&(i, _), set) in slots.iter().zip(&sets) {
-        profile[i].push(set[0].clone());
-    }
-    let mut digits = vec![0usize; sizes.len()];
-    let mut stats = BaselineStats {
-        opt_p: f64::INFINITY,
-        best_eq_p: f64::INFINITY,
-        worst_eq_p: f64::NEG_INFINITY,
-        evaluated: 0,
-    };
-    loop {
-        let k = model.social_cost(&profile);
-        stats.evaluated += 1;
-        stats.opt_p = stats.opt_p.min(k);
-        if model.is_equilibrium(&profile) {
-            stats.best_eq_p = stats.best_eq_p.min(k);
-            stats.worst_eq_p = stats.worst_eq_p.max(k);
-        }
-        if stats.evaluated == size {
-            return stats;
-        }
-        let mut j = digits.len();
-        loop {
-            assert!(j > 0, "odometer overflow");
-            j -= 1;
-            let (i, tau) = slots[j];
-            digits[j] += 1;
-            if digits[j] < sizes[j] {
-                profile[i][tau] = sets[j][digits[j]].clone();
-                break;
-            }
-            digits[j] = 0;
-            profile[i][tau] = sets[j][0].clone();
-        }
-    }
-}
-
 /// Wall-clock of the best of `repeats` runs of `f` (min filters scheduler
 /// noise), together with the last result.
 fn time_best<T>(repeats: u32, mut f: impl FnMut() -> T) -> (T, f64) {
@@ -226,7 +168,8 @@ fn bench_model<M: BayesianModel>(
     repeats: u32,
     threads: &[usize],
 ) -> (Vec<Row>, f64) {
-    let (base, base_secs) = time_best(repeats, || baseline_sweep(model));
+    let (base, base_secs) = time_best(repeats, || reference::sweep(model).expect("enumerable"));
+    let base_bits = [base.opt_p, base.best_eq_p, base.worst_eq_p].map(f64::to_bits);
     let row = |backend: &str, report: &SolveReport, seconds: f64| Row {
         backend: backend.into(),
         profiles: report.profiles_evaluated,
@@ -234,26 +177,18 @@ fn bench_model<M: BayesianModel>(
     };
     let mut rows = vec![Row {
         backend: "baseline-exhaustive/1t".into(),
-        profiles: base.evaluated,
+        profiles: base.profiles,
         seconds: base_secs,
     }];
     for &t in threads {
         let solver = Solver::builder().threads(t).build();
         let (report, secs) = time_best(repeats, || solver.solve(model).expect("solvable"));
         assert_eq!(
-            (
-                base.opt_p.to_bits(),
-                base.best_eq_p.to_bits(),
-                base.worst_eq_p.to_bits()
-            ),
-            (
-                report.measures.opt_p.to_bits(),
-                report.measures.best_eq_p.to_bits(),
-                report.measures.worst_eq_p.to_bits()
-            ),
+            reference::bits(report.measures)[..3],
+            base_bits,
             "compiled sweep ({t}t) must agree with the baseline bit-for-bit"
         );
-        assert_eq!(base.evaluated, report.profiles_evaluated);
+        assert_eq!(base.profiles, report.profiles_evaluated);
         rows.push(row(&format!("compiled-exhaustive/{t}t"), &report, secs));
     }
     let brd = Solver::builder()

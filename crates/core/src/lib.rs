@@ -36,6 +36,9 @@
 //!   canonical orbit enumeration: under [`symmetry::SymmetryMode::Auto`]
 //!   the exhaustive sweep visits one representative per symmetry orbit,
 //!   bit-for-bit identical results at a fraction of the evaluations;
+//! * [`mod@reference`] — the reference oracle: the pre-kernel exhaustive
+//!   sweep (nested profiles, costs recomputed per profile) that every
+//!   solver path must match bit for bit;
 //! * [`randomness`] — Section 4: `R(φ)`, `R̃(φ)`, the Proposition 4.2
 //!   equality, and the Lemma 4.1 public-randomness distribution computed
 //!   by solving the associated zero-sum game exactly;
@@ -71,6 +74,7 @@ pub mod nash;
 pub mod potential;
 pub mod random_games;
 pub mod randomness;
+pub mod reference;
 pub mod solve;
 pub mod symmetry;
 

@@ -30,6 +30,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
+use bi_util::hash::{mix64, GOLDEN_GAMMA};
 use bi_util::Json;
 
 /// A named stage of the serving pipeline, the unit spans are tagged
@@ -439,13 +440,10 @@ fn thread_shard_index() -> usize {
     })
 }
 
-/// SplitMix64's finalizer: a bijective avalanche over `u64`, so distinct
-/// counter values always mint distinct ids within one process.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// SplitMix64's output step: a bijective avalanche over `u64`, so
+/// distinct counter values always mint distinct ids within one process.
+fn mix(z: u64) -> u64 {
+    mix64(z.wrapping_add(GOLDEN_GAMMA))
 }
 
 /// A per-process salt: pid mixed with a coarse wall-clock reading, so

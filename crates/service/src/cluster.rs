@@ -7,8 +7,12 @@
 //! horizontal sharding trivially correct: route each request to the
 //! backend owning its key and that backend's cache concentrates exactly
 //! its arc of the key space. The ring is a classic consistent hash with
-//! 64 virtual nodes per backend over the same 64-bit FNV-1a space the
-//! cache indexes with ([`bi_util::fnv1a`]).
+//! 64 virtual nodes per backend over the same 64-bit space the cache
+//! indexes with: keys hash with FNV-1a ([`bi_util::fnv1a`]), and each
+//! virtual node's point is the FNV-1a hash of its name passed through the
+//! splitmix64 finalizer ([`bi_util::hash::mix64`]), which spreads the
+//! near-identical vnode names evenly, so every backend owns close to
+//! `1/N` of the space.
 //!
 //! ```text
 //!   client ──► bi-router ──hash(cache_key)──► ring ──► backend k
@@ -79,6 +83,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bi_obs::{Recorder, Stage, StageTimings, TraceCtx};
+use bi_util::hash::mix64;
 use bi_util::{fnv1a, Decode, Encode, Json};
 
 use crate::cache::{CacheConfig, ShardedLru};
@@ -88,9 +93,18 @@ use crate::service::{error_body, BatchRequest, FastOutcome, SolveRequest, SolveS
 
 /// Virtual points per backend on the [`HashRing`] the router builds.
 const VNODES: usize = 64;
+/// Connect deadline for upstream sockets (forwarding and probing).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// Response deadline for a forwarded request.
+const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(30);
+/// Pooled keep-alive connections retained per backend.
+const POOL_CAPACITY: usize = 8;
+/// Pending write-through/read-repair deliveries retained; overflow is
+/// dropped (and counted) rather than growing without bound.
+const REPAIR_QUEUE_CAPACITY: usize = 4096;
 
 /// A consistent-hash ring: `vnodes` virtual points per backend over the
-/// 64-bit FNV-1a space, routing a key hash to the first live backend at
+/// 64-bit key-hash space, routing a key hash to the first live backend at
 /// or clockwise after it.
 #[derive(Clone, Debug)]
 pub struct HashRing {
@@ -103,14 +117,17 @@ pub struct HashRing {
 
 impl HashRing {
     /// Builds the ring for `backends` with `vnodes` virtual points each
-    /// (point `v` of backend `b` is `fnv1a("vnode:{b}:{v}")`).
+    /// (point `v` of backend `b` is `mix64(fnv1a("vnode:{b}:{v}"))`). The
+    /// [`mix64`] finalizer matters: the vnode strings differ only in their
+    /// last bytes, and raw FNV-1a values of such strings cluster enough to
+    /// leave one of three loopback backends under 9% of the space.
     #[must_use]
     pub fn new<S: AsRef<str>>(backends: &[S], vnodes: usize) -> HashRing {
         let vnodes = vnodes.max(1);
         let mut points = Vec::with_capacity(backends.len() * vnodes);
         for (i, backend) in backends.iter().enumerate() {
             for v in 0..vnodes {
-                let point = fnv1a(format!("vnode:{}:{v}", backend.as_ref()).as_bytes());
+                let point = mix64(fnv1a(format!("vnode:{}:{v}", backend.as_ref()).as_bytes()));
                 points.push((point, i));
             }
         }
@@ -183,15 +200,6 @@ pub struct RouterConfig {
     pub fail_threshold: u32,
     /// Idle keep-alive timeout for downstream client connections.
     pub read_timeout: Duration,
-    /// Connect deadline for upstream sockets (forwarding and probing).
-    pub connect_timeout: Duration,
-    /// Response deadline for a forwarded request.
-    pub upstream_timeout: Duration,
-    /// Pooled keep-alive connections retained per backend.
-    pub pool_capacity: usize,
-    /// Sizing of the body-bytes → routing-hash cache (skips re-decoding
-    /// hot canonical bodies).
-    pub key_cache: CacheConfig,
     /// When set, any request whose end-to-end routing time reaches this
     /// many microseconds gets its span tree logged at `warn`.
     pub trace_slow_us: Option<u64>,
@@ -212,14 +220,10 @@ pub struct RouterConfig {
     /// every live replica once; later rounds re-try backends that
     /// answered a retryable status (`429`/`5xx`) earlier.
     pub max_retry_rounds: u32,
-    /// Pending write-through/read-repair deliveries retained; overflow
-    /// is dropped (and counted) rather than growing without bound.
-    pub repair_queue_capacity: usize,
 }
 
 impl Default for RouterConfig {
-    /// Ephemeral port, no backends, 500 ms probes, 2-failure ejection,
-    /// 8-connection pools.
+    /// Ephemeral port, no backends, 500 ms probes, 2-failure ejection.
     fn default() -> Self {
         RouterConfig {
             addr: "127.0.0.1:0".into(),
@@ -227,17 +231,12 @@ impl Default for RouterConfig {
             probe_interval: Duration::from_millis(500),
             fail_threshold: 2,
             read_timeout: Duration::from_secs(10),
-            connect_timeout: Duration::from_secs(1),
-            upstream_timeout: Duration::from_secs(30),
-            pool_capacity: 8,
-            key_cache: CacheConfig::default(),
             trace_slow_us: None,
             replication: 1,
             request_deadline: Duration::from_secs(30),
             retry_base_backoff: Duration::from_millis(10),
             retry_max_backoff: Duration::from_millis(500),
             max_retry_rounds: 3,
-            repair_queue_capacity: 4096,
         }
     }
 }
@@ -404,14 +403,16 @@ impl Router {
         let listener = TcpListener::bind(&config.addr)?;
         let ring = HashRing::new(&config.backends, VNODES);
         let backends = config.backends.iter().cloned().map(Backend::new).collect();
-        let key_cache = ShardedLru::new(config.key_cache);
+        // The body-bytes → routing-hash cache (skips re-decoding hot
+        // canonical bodies) and the local fallback engine, default-sized.
+        let key_cache = ShardedLru::new(CacheConfig::default());
         let recorder = Arc::new(Recorder::default());
         let shared = Arc::new(Shared {
             ring,
             backends,
             metrics: RouterMetrics::default(),
             key_cache,
-            local: SolveService::with_recorder(config.key_cache, None, Arc::clone(&recorder)),
+            local: SolveService::with_recorder(CacheConfig::default(), None, Arc::clone(&recorder)),
             recorder,
             repair: Mutex::new(RepairQueue::default()),
             started: Instant::now(),
@@ -908,7 +909,7 @@ fn schedule_repairs(
         if !queue.pending.insert((owner, hash)) {
             continue; // a delivery for this (owner, key) is already queued
         }
-        if queue.jobs.len() >= shared.config.repair_queue_capacity {
+        if queue.jobs.len() >= REPAIR_QUEUE_CAPACITY {
             queue.pending.remove(&(owner, hash));
             shared.metrics.repair_drops.fetch_add(1, Ordering::Relaxed);
             continue;
@@ -1039,8 +1040,8 @@ fn send(
         }
         // Stale pooled socket: drop it and retry on a fresh connection.
     }
-    let mut client = HttpClient::connect_timeout(&backend.addr, shared.config.connect_timeout)?;
-    client.set_read_timeout(Some(shared.config.upstream_timeout))?;
+    let mut client = HttpClient::connect_timeout(&backend.addr, CONNECT_TIMEOUT)?;
+    client.set_read_timeout(Some(UPSTREAM_TIMEOUT))?;
     let response = client.request_with("POST", path, body, extra)?;
     release(shared, idx, client);
     Ok(response)
@@ -1050,7 +1051,7 @@ fn send(
 /// the pool is full).
 fn release(shared: &Shared, idx: usize, client: HttpClient) {
     let mut pool = shared.backends[idx].pool.lock().expect("pool poisoned");
-    if pool.len() < shared.config.pool_capacity {
+    if pool.len() < POOL_CAPACITY {
         pool.push(client);
     }
 }
@@ -1212,7 +1213,7 @@ fn probe_loop(shared: &Shared) {
             if shared.shutdown.load(Ordering::Relaxed) {
                 return;
             }
-            if probe(backend, shared.config.connect_timeout) {
+            if probe(backend) {
                 backend.record_success();
             } else {
                 backend.record_failure(shared.config.fail_threshold);
@@ -1233,11 +1234,11 @@ fn probe_loop(shared: &Shared) {
 }
 
 /// One `/healthz` round-trip on a fresh connection.
-fn probe(backend: &Backend, timeout: Duration) -> bool {
-    let Ok(mut client) = HttpClient::connect_timeout(&backend.addr, timeout) else {
+fn probe(backend: &Backend) -> bool {
+    let Ok(mut client) = HttpClient::connect_timeout(&backend.addr, CONNECT_TIMEOUT) else {
         return false;
     };
-    if client.set_read_timeout(Some(timeout)).is_err() {
+    if client.set_read_timeout(Some(CONNECT_TIMEOUT)).is_err() {
         return false;
     }
     client
@@ -1368,6 +1369,18 @@ mod tests {
         assert_eq!(assignment(&a, &all, 1000), assignment(&b, &all, 1000));
     }
 
+    /// Each backend's exact share of the 64-bit space: a point owns the
+    /// arc from its predecessor (exclusive) up to itself.
+    fn arc_shares(ring: &HashRing) -> Vec<f64> {
+        let mut shares = vec![0.0; ring.backends()];
+        let mut prev = ring.points.last().expect("non-empty ring").0;
+        for &(point, owner) in &ring.points {
+            shares[owner] += point.wrapping_sub(prev) as f64 / 2f64.powi(64);
+            prev = point;
+        }
+        shares
+    }
+
     #[test]
     fn every_backend_owns_a_share_of_the_space() {
         let ring = HashRing::new(&addrs(3), 64);
@@ -1381,6 +1394,24 @@ mod tests {
                 count > 300,
                 "backend {i} owns {count}/3000 keys — vnodes are not spreading"
             );
+        }
+        // Seeded sets of 2–4 loopback backends (the shape of a local
+        // cluster): every backend owns between 0.5/N and 1.5/N.
+        for set in 0..1000u64 {
+            let n = 2 + (mix64(set) % 3) as usize;
+            let backends: Vec<String> = (0..n as u64)
+                .map(|j| format!("127.0.0.1:{}", 1024 + mix64(set << 8 | j) % 64_512))
+                .collect();
+            let shares = arc_shares(&HashRing::new(&backends, 64));
+            let total: f64 = shares.iter().sum();
+            assert!((total - 1.0).abs() < 1e-9, "shares sum to {total}");
+            for (b, share) in backends.iter().zip(&shares) {
+                let scaled = share * n as f64;
+                assert!(
+                    (0.5..=1.5).contains(&scaled),
+                    "{b} owns {scaled:.2}/N of the space in {backends:?}"
+                );
+            }
         }
     }
 

@@ -38,6 +38,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use bi_util::hash::{mix64, GOLDEN_GAMMA};
 use bi_util::Json;
 
 /// One injectable fault at a reactor seam.
@@ -235,13 +236,10 @@ impl FaultPlan {
     }
 }
 
-/// splitmix64-style finalizer over `(seed, n)` — a statistically flat
+/// The splitmix64 finalizer over `(seed, n)` — a statistically flat
 /// 64-bit hash, pure and lock-free.
 fn mix(seed: u64, n: u64) -> u64 {
-    let mut z = seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(seed ^ n.wrapping_mul(GOLDEN_GAMMA))
 }
 
 #[cfg(test)]
@@ -260,6 +258,25 @@ mod tests {
         // And the pure form agrees with the consumed sequence.
         let pure: Vec<Option<FaultKind>> = (0..512).map(|n| a.decision(n)).collect();
         assert_eq!(seq_a, pure);
+    }
+
+    #[test]
+    fn decisions_are_pinned() {
+        // Chaos runs replay by seed: the first 64 draws of this plan, one
+        // character each (`.` none, else the kind's index in `ALL`).
+        let plan = FaultPlan::parse("seed=42,rate=300000").unwrap();
+        let drawn: String = (0..64)
+            .map(|n| match plan.decision(n) {
+                None => '.',
+                Some(k) => {
+                    char::from(b'0' + FaultKind::ALL.iter().position(|&x| x == k).unwrap() as u8)
+                }
+            })
+            .collect();
+        assert_eq!(
+            drawn,
+            "10235.3...1..5...3.5...0..2....20........5.1.....35..3.51...1.5."
+        );
     }
 
     #[test]

@@ -33,6 +33,10 @@ pub struct ServiceMetrics {
     /// write-throughs and read-repairs shipped by a router peer; each is
     /// a solve this node never had to run.
     pub cache_puts: AtomicU64,
+    /// `POST /cache_put` bodies refused: malformed framing, an invalid
+    /// request, or a response that is not a canonical, chain-respecting
+    /// report. Nothing of a refused body is stored.
+    pub cache_put_rejected: AtomicU64,
     /// Responses with 2xx status.
     pub responses_2xx: AtomicU64,
     /// Responses with 4xx status (decode/validation failures).
@@ -99,6 +103,7 @@ impl Default for ServiceMetrics {
             batch_requests: AtomicU64::new(0),
             solves_computed: AtomicU64::new(0),
             cache_puts: AtomicU64::new(0),
+            cache_put_rejected: AtomicU64::new(0),
             responses_2xx: AtomicU64::new(0),
             responses_4xx: AtomicU64::new(0),
             responses_5xx: AtomicU64::new(0),
@@ -184,6 +189,7 @@ impl ServiceMetrics {
             ("batch_requests".into(), count(&self.batch_requests)),
             ("solves_computed".into(), count(&self.solves_computed)),
             ("cache_puts".into(), count(&self.cache_puts)),
+            ("cache_put_rejected".into(), count(&self.cache_put_rejected)),
             ("responses_2xx".into(), count(&self.responses_2xx)),
             ("responses_4xx".into(), count(&self.responses_4xx)),
             ("responses_5xx".into(), count(&self.responses_5xx)),

@@ -1124,16 +1124,20 @@ fn reject_busy(mut stream: TcpStream, service: &SolveService) {
 /// bytes]` — so the solve request and its canonical response travel as
 /// one opaque payload with no JSON re-encoding on either side.
 fn handle_cache_put(service: &SolveService, body: &[u8]) -> (u16, Vec<u8>) {
+    let framing_error = |msg: &str| {
+        service
+            .metrics()
+            .cache_put_rejected
+            .fetch_add(1, Ordering::Relaxed);
+        (400, error_body(msg))
+    };
     if body.len() < 4 {
-        return (
-            400,
-            error_body("cache_put body is shorter than its length prefix"),
-        );
+        return framing_error("cache_put body is shorter than its length prefix");
     }
     let req_len = u32::from_le_bytes(body[..4].try_into().expect("four bytes checked")) as usize;
     let rest = &body[4..];
     if req_len > rest.len() {
-        return (400, error_body("cache_put request length exceeds the body"));
+        return framing_error("cache_put request length exceeds the body");
     }
     let (request, response) = rest.split_at(req_len);
     match service.cache_put(request, response) {
@@ -1207,6 +1211,21 @@ mod tests {
         assert_eq!(classify(b"POST", b"/healthz"), Target::MethodNotAllowed);
         assert_eq!(classify(b"POST", b"/debug/trace"), Target::MethodNotAllowed);
         assert_eq!(classify(b"GET", b"/nope"), Target::NotFound);
+    }
+
+    #[test]
+    fn cache_put_handler_answers_400_to_invalid_bodies() {
+        let service = SolveService::new(CacheConfig::default());
+        let request = br#"{"game":{"kind":"matrix","game":{}}}"#;
+        let mut framed = (request.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(request);
+        framed.extend_from_slice(b"not a report");
+        for body in [&b"ab"[..], &[9, 0, 0, 0, b'x'], &framed] {
+            assert_eq!(handle_cache_put(&service, body).0, 400);
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.cache_put_rejected.load(Ordering::Relaxed), 3);
+        assert_eq!(metrics.cache_puts.load(Ordering::Relaxed), 0);
     }
 
     #[test]

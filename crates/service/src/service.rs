@@ -583,20 +583,29 @@ impl SolveService {
     /// Installs a peer-shipped response without solving — the handler
     /// behind `POST /cache_put`, which a router uses for replication
     /// write-through and read-repair. The embedded solve request is
-    /// decoded only to recompute the content address; the response
-    /// bytes are stored verbatim, so a repaired node serves
-    /// byte-identical answers to the node that solved them.
+    /// decoded to recompute the content address. The response must be a
+    /// [`SolveReport`] whose canonical encoding is byte-identical to it
+    /// and whose measures pass [`verify_chain`]; it is then stored
+    /// verbatim, so a repaired node serves byte-identical answers to the
+    /// node that solved them.
     ///
     /// # Errors
     ///
-    /// Returns the [`CodecError`] when the embedded request is not a
-    /// valid solve request (the response bytes are never validated —
-    /// they are already canonical output of a peer's solve).
+    /// Returns a [`CodecError`] when the request is not a valid solve
+    /// request or the response fails validation. Nothing is stored, and
+    /// the rejection is counted (`cache_put_rejected` in `GET /metrics`).
+    ///
+    /// [`verify_chain`]: bi_core::Measures::verify_chain
     pub fn cache_put(&self, request_body: &[u8], response_body: &[u8]) -> Result<(), CodecError> {
-        let text = std::str::from_utf8(request_body)
-            .map_err(|_| CodecError::new("cache_put request bytes are not valid UTF-8"))?;
-        let request = SolveRequest::decode_str(text)?;
-        let key = Self::cache_key(&request.game, &request.config);
+        let key = match Self::validate_cache_put(request_body, response_body) {
+            Ok(key) => key,
+            Err(e) => {
+                self.metrics
+                    .cache_put_rejected
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                return Err(e);
+            }
+        };
         let body: Arc<[u8]> = Arc::from(response_body.to_vec());
         self.cache.insert(&key, Arc::clone(&body));
         if bi_util::json::canon_check(request_body) {
@@ -611,6 +620,31 @@ impl SolveService {
             .cache_puts
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
+    }
+
+    /// The cache key of a peer-shipped pair, once the response is shown
+    /// to be a canonical report that satisfies Observation 2.2's chain.
+    fn validate_cache_put(
+        request_body: &[u8],
+        response_body: &[u8],
+    ) -> Result<Vec<u8>, CodecError> {
+        let utf8 = |bytes, what: &str| {
+            std::str::from_utf8(bytes)
+                .map_err(|_| CodecError::new(format!("cache_put {what} bytes are not valid UTF-8")))
+        };
+        let request = SolveRequest::decode_str(utf8(request_body, "request")?)?;
+        let report = SolveReport::decode_str(utf8(response_body, "response")?)
+            .map_err(|e| e.context("cache_put response"))?;
+        if report.canonical_bytes() != response_body {
+            return Err(CodecError::new(
+                "cache_put response is not the canonical report encoding",
+            ));
+        }
+        report
+            .measures
+            .verify_chain()
+            .map_err(|e| CodecError::new(format!("cache_put response: {e}")))?;
+        Ok(Self::cache_key(&request.game, &request.config))
     }
 
     fn insert_report(&self, key: Vec<u8>, report: &SolveReport) -> Arc<[u8]> {
@@ -1036,5 +1070,38 @@ mod tests {
         assert!(err.to_string().contains("missing field `game`"));
         let err = BatchRequest::decode_str(r#"{"games":[{"kind":"cubic"}]}"#).unwrap_err();
         assert!(err.to_string().contains("games[0]"));
+    }
+
+    #[test]
+    fn cache_put_refuses_responses_that_are_not_canonical_valid_reports() {
+        let service = SolveService::new(CacheConfig::default());
+        let game = matrix_game(3);
+        let request_bytes = request(game.clone()).canonical_bytes();
+        let GameSpec::Matrix(g) = &game else {
+            unreachable!()
+        };
+        let report = Solver::default().solve(g).unwrap();
+        let genuine = report.canonical_bytes();
+        let mut spaced = b"{ ".to_vec();
+        spaced.extend_from_slice(&genuine[1..]);
+        let mut broken = report;
+        broken.measures.opt_p = broken.measures.worst_eq_p + 1.0;
+        for body in [b"garbage".to_vec(), spaced, broken.canonical_bytes()] {
+            assert!(service.cache_put(&request_bytes, &body).is_err());
+            let next = service.try_serve_fast(&request_bytes, TraceCtx::NONE);
+            assert!(
+                matches!(next, Ok(FastOutcome::Miss(_))),
+                "a refused body was stored"
+            );
+        }
+        let count = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(count(&service.metrics().cache_put_rejected), 3);
+        assert_eq!(count(&service.metrics().cache_puts), 0);
+        // The genuine report is stored and served verbatim.
+        service.cache_put(&request_bytes, &genuine).unwrap();
+        match service.try_serve_fast(&request_bytes, TraceCtx::NONE) {
+            Ok(FastOutcome::Hit(served)) => assert_eq!(&served.body[..], &genuine[..]),
+            _ => panic!("the genuine report was not stored"),
+        }
     }
 }

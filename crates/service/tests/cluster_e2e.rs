@@ -454,6 +454,11 @@ fn replication_two_survives_a_kill_and_read_repairs_the_returning_backend() {
         doc.get("cache_puts").and_then(|v| v.as_u64()).unwrap_or(0) > 0,
         "the restarted backend must be repopulated by read-repair"
     );
+    assert_eq!(
+        doc.get("cache_put_rejected").and_then(|v| v.as_u64()),
+        Some(0),
+        "validation refused a genuine read-repair body"
+    );
 
     // The repaired keys serve as hits from their rightful primary again.
     let repaired = bodies

@@ -1,4 +1,5 @@
-//! FNV-1a hashing — the content-address function of the solve cache.
+//! FNV-1a hashing — the content-address function of the solve cache —
+//! and the splitmix64 finalizer [`mix64`].
 //!
 //! The service layer hashes the canonical wire bytes of a solve request
 //! (see [`crate::json`]) with 64-bit FNV-1a to pick a cache shard and a
@@ -31,6 +32,28 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// The splitmix64 increment (the golden-ratio gamma `⌊2^64/φ⌋`, odd).
+pub const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The splitmix64 finalizer: a bijective avalanche over `u64`, so
+/// inputs that differ in a few low bits land far apart. One step of the
+/// splitmix64 generator is `mix64(state += GOLDEN_GAMMA)`.
+///
+/// # Examples
+///
+/// ```
+/// use bi_util::hash::{mix64, GOLDEN_GAMMA};
+///
+/// // splitmix64 seeded with 0: its first output.
+/// assert_eq!(mix64(GOLDEN_GAMMA), 0xe220_a839_7b1d_cdaf);
+/// ```
+#[must_use]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// A [`std::hash::Hasher`] running 64-bit FNV-1a, for deterministic
@@ -89,6 +112,19 @@ mod tests {
         h.write(b"foo");
         h.write(b"bar");
         assert_eq!(h.finish(), fnv1a(b"foobar"));
+    }
+
+    #[test]
+    fn mix64_is_the_splitmix64_finalizer() {
+        // The reference splitmix64 stream seeded with 0.
+        let mut state = 0u64;
+        let mut next = || {
+            state = state.wrapping_add(GOLDEN_GAMMA);
+            mix64(state)
+        };
+        assert_eq!(next(), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(next(), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(mix64(0), 0);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! log–log growth fitting ([`stats`]), seeded RNG construction
 //! ([`rng::seeded`]), plain-text table rendering for the experiment
 //! harnesses ([`table::TextTable`]), the canonical JSON wire codec of the
-//! solve service ([`json`]), the FNV-1a content-address hash
-//! ([`hash`]), and the CRC-32 frame checksum of the disk cache tier
-//! ([`crc`]).
+//! solve service ([`json`]), the FNV-1a content-address hash and the
+//! splitmix64 finalizer ([`hash`]), and the CRC-32 frame checksum of the
+//! disk cache tier ([`crc`]).
 //!
 //! # Examples
 //!

@@ -8,6 +8,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::hash::{mix64, GOLDEN_GAMMA};
+
 /// Returns a [`StdRng`] deterministically derived from `seed`.
 ///
 /// # Examples
@@ -40,17 +42,16 @@ pub fn seeded(seed: u64) -> StdRng {
 /// ```
 #[must_use]
 pub fn derive_seed(master: u64, label: &str) -> u64 {
-    // FNV-1a over the label, mixed with the master seed via splitmix64-style
-    // finalization. Not cryptographic; just stable and well-spread.
+    // An FNV-1a-style pass over the label (its multiplier is not the FNV
+    // prime, and stays as it is: every seeded generator depends on these
+    // values), mixed with the master seed via the splitmix64 finalizer.
+    // Not cryptographic; just stable and well-spread.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ master;
     for byte in label.bytes() {
         h ^= u64::from(byte);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
-    let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(h.wrapping_add(GOLDEN_GAMMA))
 }
 
 #[cfg(test)]
@@ -74,5 +75,12 @@ mod tests {
         assert_ne!(derive_seed(0, "a"), derive_seed(0, "b"));
         assert_ne!(derive_seed(0, "a"), derive_seed(1, "a"));
         assert_eq!(derive_seed(9, "frt"), derive_seed(9, "frt"));
+    }
+
+    #[test]
+    fn derive_seed_values_are_pinned() {
+        // Every seeded generator (and the benchmark's games) hangs off
+        // these values; a change to the mixing must not move them.
+        assert_eq!(derive_seed(42, "graph"), 0x2d77_5f65_f9b8_12ee);
     }
 }

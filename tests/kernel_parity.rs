@@ -3,10 +3,9 @@
 //!
 //! Two independent reference axes:
 //!
-//! * a verbatim reimplementation of the pre-change sweep (nested-profile
-//!   odometer, `social_cost`/`is_equilibrium` recomputed from scratch per
-//!   profile) over the public iteration APIs — the historical ground
-//!   truth;
+//! * the reference oracle [`reference::sweep`] (nested-profile odometer,
+//!   `social_cost`/`is_equilibrium` recomputed from scratch per profile)
+//!   — the historical ground truth;
 //! * an [`Uncompiled`] wrapper that forwards every model primitive but
 //!   *not* the `lower` override, forcing the solver through the generic
 //!   clone-based kernel — so compiled-vs-generic parity is checked on the
@@ -19,11 +18,11 @@
 
 use bayesian_ignorance::constructions::universal::random_bayesian_ncs;
 use bayesian_ignorance::core::bayesian::BayesianGame;
-use bayesian_ignorance::core::game::ProfileIter;
 use bayesian_ignorance::core::model::{CompleteInfo, Profile};
 use bayesian_ignorance::core::random_games::random_bayesian_potential_game;
+use bayesian_ignorance::core::reference::{self, bits};
 use bayesian_ignorance::core::solve::{Backend, SolveError, SolveReport, Solver};
-use bayesian_ignorance::core::{BayesianModel, Measures};
+use bayesian_ignorance::core::BayesianModel;
 use bayesian_ignorance::graph::paths::PathLimits;
 use bayesian_ignorance::graph::{Direction, Graph};
 use bayesian_ignorance::ncs::{BayesianNcsGame, Prior};
@@ -94,18 +93,6 @@ impl<M: BayesianModel> BayesianModel for Uncompiled<'_, M> {
     }
 }
 
-/// Componentwise bit-level equality of two measure sets.
-fn bits(m: Measures) -> [u64; 6] {
-    [
-        m.opt_p.to_bits(),
-        m.best_eq_p.to_bits(),
-        m.worst_eq_p.to_bits(),
-        m.opt_c.to_bits(),
-        m.best_eq_c.to_bits(),
-        m.worst_eq_c.to_bits(),
-    ]
-}
-
 fn assert_reports_identical(a: &SolveReport, b: &SolveReport, context: &str) {
     assert_eq!(bits(a.measures), bits(b.measures), "{context}: measures");
     assert_eq!(
@@ -117,63 +104,21 @@ fn assert_reports_identical(a: &SolveReport, b: &SolveReport, context: &str) {
     assert_eq!(a.orbit, b.orbit, "{context}: orbit stats");
 }
 
-/// The pre-change exhaustive sweep, verbatim, over the generic model API:
-/// candidate odometer with per-profile recomputation. Returns the three
-/// partial-information extrema.
-fn reference_sweep<M: BayesianModel>(model: &M) -> (f64, f64, f64, u128) {
-    let mut slots = Vec::new();
-    let mut sets: Vec<Vec<M::Action>> = Vec::new();
-    for i in 0..model.num_agents() {
-        for tau in 0..model.type_count(i) {
-            slots.push((i, tau));
-            sets.push(model.candidate_actions(i, tau).expect("enumerable"));
-        }
-    }
-    let sizes: Vec<usize> = sets.iter().map(Vec::len).collect();
-    let mut opt_p = f64::INFINITY;
-    let mut best_eq_p = f64::INFINITY;
-    let mut worst_eq_p = f64::NEG_INFINITY;
-    let mut evaluated = 0u128;
-    for assignment in ProfileIter::new(sizes) {
-        let mut profile: Profile<M> = (0..model.num_agents()).map(|_| Vec::new()).collect();
-        for (&(i, _), (set, &choice)) in slots.iter().zip(sets.iter().zip(&assignment)) {
-            profile[i].push(set[choice].clone());
-        }
-        let k = model.social_cost(&profile);
-        evaluated += 1;
-        opt_p = opt_p.min(k);
-        if model.is_equilibrium(&profile) {
-            best_eq_p = best_eq_p.min(k);
-            worst_eq_p = worst_eq_p.max(k);
-        }
-    }
-    (opt_p, best_eq_p, worst_eq_p, evaluated)
-}
-
 fn assert_sweep_parity<M: BayesianModel>(model: &M, context: &str) {
-    let (opt_p, best_eq_p, worst_eq_p, evaluated) = reference_sweep(model);
+    let want = reference::sweep(model).expect("enumerable");
+    let want_bits = [want.opt_p, want.best_eq_p, want.worst_eq_p].map(f64::to_bits);
     for threads in [1usize, 2, 4] {
-        let report = Solver::builder()
-            .threads(threads)
-            .build()
-            .solve(model)
-            .expect("solvable");
+        let solver = Solver::builder().threads(threads).build();
+        let report = solver.solve(model).expect("solvable");
         assert_eq!(
-            opt_p.to_bits(),
-            report.measures.opt_p.to_bits(),
-            "{context}: optP, {threads} threads"
+            bits(report.measures)[..3],
+            want_bits,
+            "{context}: optP/best-eqP/worst-eqP, {threads} threads"
         );
         assert_eq!(
-            best_eq_p.to_bits(),
-            report.measures.best_eq_p.to_bits(),
-            "{context}: best-eqP, {threads} threads"
+            want.profiles, report.profiles_evaluated,
+            "{context}: profiles"
         );
-        assert_eq!(
-            worst_eq_p.to_bits(),
-            report.measures.worst_eq_p.to_bits(),
-            "{context}: worst-eqP, {threads} threads"
-        );
-        assert_eq!(evaluated, report.profiles_evaluated, "{context}: profiles");
     }
 }
 

@@ -1,10 +1,12 @@
 //! Parity and bracketing properties of the unified solver engine.
 //!
-//! * [`Backend::ExhaustiveEnum`] must reproduce the legacy `measures()`
-//!   algorithm **bit-for-bit** on random games, for both representations
-//!   ([`BayesianGame`], [`BayesianNcsGame`]); the reference values are
-//!   recomputed here by the pre-redesign enumeration loop, written against
-//!   the public iteration APIs.
+//! * [`Backend::ExhaustiveEnum`] must reproduce the reference oracle
+//!   ([`reference::measures`]) **bit-for-bit** on random games, for both
+//!   representations ([`BayesianGame`], [`BayesianNcsGame`]).
+//! * Metamorphic checks, through the solver and the oracle alike:
+//!   power-of-two cost scaling scales every measure exactly, action
+//!   relabelling changes none, and a point-mass prior makes partial
+//!   information equal complete information.
 //! * Threaded sweeps must agree with single-threaded sweeps bit-for-bit.
 //! * The sampling backends must bracket the exact measures from inside:
 //!   genuine but possibly non-extremal equilibria, `optP` from above.
@@ -13,116 +15,32 @@
 
 use bayesian_ignorance::constructions::universal::random_bayesian_ncs;
 use bayesian_ignorance::core::bayesian::BayesianGame;
-use bayesian_ignorance::core::game::ProfileIter;
-use bayesian_ignorance::core::random_games::random_bayesian_potential_game;
+use bayesian_ignorance::core::game::MatrixFormGame;
+use bayesian_ignorance::core::random_games::{
+    random_bayesian_potential_game, random_potential_game,
+};
+use bayesian_ignorance::core::reference::{self, bits};
 use bayesian_ignorance::core::solve::{Backend, SolveError, Solver};
-use bayesian_ignorance::core::{nash, BayesianModel, Measures};
-use bayesian_ignorance::graph::paths::PathLimits;
+use bayesian_ignorance::core::{BayesianModel, Measures};
 use bayesian_ignorance::graph::Direction;
-use bayesian_ignorance::ncs::{analysis, BayesianNcsGame, Path};
+use bayesian_ignorance::util::approx_eq;
 use proptest::prelude::*;
 
-/// The pre-redesign `BayesianGame::measures()` loop, verbatim, over the
-/// public strategy iterator and per-state Nash analysis.
-fn reference_matrix_measures(game: &BayesianGame) -> Measures {
-    let mut opt_p = f64::INFINITY;
-    let mut best_eq_p = f64::INFINITY;
-    let mut worst_eq_p = f64::NEG_INFINITY;
-    let mut found_eq = false;
-    for s in game.strategies().expect("small game") {
-        let k = game.social_cost(&s);
-        opt_p = opt_p.min(k);
-        if game.is_bayesian_equilibrium(&s) {
-            found_eq = true;
-            best_eq_p = best_eq_p.min(k);
-            worst_eq_p = worst_eq_p.max(k);
-        }
-    }
-    assert!(found_eq, "random potential games always have equilibria");
-    let mut opt_c = 0.0;
-    let mut best_eq_c = 0.0;
-    let mut worst_eq_c = 0.0;
-    for idx in 0..game.support_len() {
-        let (_, prob, state_game) = game.state(idx);
-        let (opt, _) = nash::social_optimum(state_game);
-        opt_c += prob * opt;
-        let (best, worst) = nash::equilibrium_cost_range(state_game).expect("potential game");
-        best_eq_c += prob * best;
-        worst_eq_c += prob * worst;
-    }
-    Measures {
-        opt_p,
-        best_eq_p,
-        worst_eq_p,
-        opt_c,
-        best_eq_c,
-        worst_eq_c,
-    }
+/// The same prior over transformed state games.
+fn map_states(game: &BayesianGame, f: impl Fn(&MatrixFormGame) -> MatrixFormGame) -> BayesianGame {
+    let support = (0..game.support_len())
+        .map(|idx| {
+            let (types, prob, g) = game.state(idx);
+            (types.to_vec(), prob, f(g))
+        })
+        .collect();
+    BayesianGame::new(game.type_counts().to_vec(), support).expect("same prior")
 }
 
-/// The pre-redesign `BayesianNcsGame::measures()` loop, verbatim, over the
-/// public strategy sets and per-state analysis.
-fn reference_ncs_measures(game: &BayesianNcsGame) -> Measures {
-    let sets = game.strategy_sets().expect("enumerable");
-    let slot_sizes: Vec<usize> = sets.iter().flatten().map(Vec::len).collect();
-    let mut slots = Vec::new();
-    for (i, types) in game.agent_types().iter().enumerate() {
-        for tau in 0..types.len() {
-            slots.push((i, tau));
-        }
-    }
-    let mut opt_p = f64::INFINITY;
-    let mut best_eq_p = f64::INFINITY;
-    let mut worst_eq_p = f64::NEG_INFINITY;
-    let mut found_eq = false;
-    for assignment in ProfileIter::new(slot_sizes) {
-        let mut s: Vec<Vec<Path>> = game
-            .agent_types()
-            .iter()
-            .map(|types| vec![Path::new(); types.len()])
-            .collect();
-        for (&(i, tau), &choice) in slots.iter().zip(&assignment) {
-            s[i][tau] = sets[i][tau][choice].clone();
-        }
-        let k = game.social_cost(&s);
-        opt_p = opt_p.min(k);
-        if game.is_bayesian_equilibrium(&s) {
-            found_eq = true;
-            best_eq_p = best_eq_p.min(k);
-            worst_eq_p = worst_eq_p.max(k);
-        }
-    }
-    assert!(found_eq, "NCS games are potential games");
-    let mut opt_c = 0.0;
-    let mut best_eq_c = 0.0;
-    let mut worst_eq_c = 0.0;
-    for (idx, (_, prob)) in game.support().iter().enumerate() {
-        let a = analysis::analyze(&game.underlying_game(idx), PathLimits::default())
-            .expect("analyzable");
-        opt_c += prob * a.opt;
-        best_eq_c += prob * a.best_eq;
-        worst_eq_c += prob * a.worst_eq;
-    }
-    Measures {
-        opt_p,
-        best_eq_p,
-        worst_eq_p,
-        opt_c,
-        best_eq_c,
-        worst_eq_c,
-    }
-}
-
-/// Componentwise bit-level equality of two measure sets.
-fn bits(m: Measures) -> [u64; 6] {
-    [
-        m.opt_p.to_bits(),
-        m.best_eq_p.to_bits(),
-        m.worst_eq_p.to_bits(),
-        m.opt_c.to_bits(),
-        m.best_eq_c.to_bits(),
-        m.worst_eq_c.to_bits(),
-    ]
+/// The measures of `game` from the solver and from the reference oracle.
+fn both(game: &BayesianGame) -> [Measures; 2] {
+    let solved = Solver::default().solve(game).expect("solvable").measures;
+    [solved, reference::measures(game).expect("solvable")]
 }
 
 proptest! {
@@ -133,7 +51,7 @@ proptest! {
     #[test]
     fn exhaustive_matches_legacy_matrix_measures(seed in 0u64..5000, support in 1usize..5) {
         let (game, _) = random_bayesian_potential_game(&[2, 2], &[2, 2], support, seed);
-        let reference = reference_matrix_measures(&game);
+        let reference = reference::measures(&game).expect("solvable");
         let wrapper = game.measures().expect("solvable");
         let direct = Solver::default().solve(&game).expect("solvable");
         prop_assert_eq!(bits(reference), bits(wrapper));
@@ -150,7 +68,7 @@ proptest! {
     fn exhaustive_matches_legacy_ncs_measures(seed in 0u64..2000) {
         let game = random_bayesian_ncs(Direction::Directed, 4, 0.4, 2, 2, seed)
             .expect("connected generator");
-        let reference = reference_ncs_measures(&game);
+        let reference = reference::measures(&game).expect("solvable");
         let wrapper = game.measures().expect("solvable");
         let direct = Solver::default().solve(&game).expect("solvable");
         prop_assert_eq!(bits(reference), bits(wrapper));
@@ -204,6 +122,71 @@ proptest! {
         prop_assert!(exact.opt_p <= mc.measures.opt_p + 1e-12);
         prop_assert!(exact.best_eq_p <= mc.measures.best_eq_p + 1e-12);
         prop_assert!(mc.measures.worst_eq_p <= exact.worst_eq_p + 1e-12);
+    }
+
+    /// Multiplying every cost by 2^k scales all six measures by exactly
+    /// 2^k (power-of-two scaling commutes with every rounding).
+    #[test]
+    fn scaling_costs_by_a_power_of_two_scales_every_measure(
+        seed in 0u64..2000,
+        support in 1usize..5,
+        k in 1i32..4,
+    ) {
+        let (game, _) = random_bayesian_potential_game(&[2, 2], &[3, 3], support, seed);
+        let f = 2f64.powi(k);
+        let scaled = map_states(&game, |g| {
+            MatrixFormGame::from_fn(g.num_agents(), g.action_counts(), |i, a| g.cost(i, a) * f)
+        });
+        for (m, s) in both(&game).into_iter().zip(both(&scaled)) {
+            prop_assert_eq!(bits(m).map(|b| (f64::from_bits(b) * f).to_bits()), bits(s));
+        }
+    }
+
+    /// Relabelling each agent's actions with a seeded permutation leaves
+    /// all six measures bitwise unchanged.
+    #[test]
+    fn relabelling_actions_leaves_every_measure_unchanged(seed in 0u64..2000, support in 1usize..5) {
+        use rand::seq::SliceRandom;
+        let (game, _) = random_bayesian_potential_game(&[2, 2], &[3, 3], support, seed);
+        let mut rng = bayesian_ignorance::util::rng::seeded(seed);
+        let perms: Vec<Vec<usize>> = game
+            .action_counts()
+            .iter()
+            .map(|&n| {
+                let mut p: Vec<usize> = (0..n).collect();
+                p.shuffle(&mut rng);
+                p
+            })
+            .collect();
+        let relabelled = map_states(&game, |g| {
+            MatrixFormGame::from_fn(g.num_agents(), g.action_counts(), |i, a| {
+                let old: Vec<usize> = a.iter().zip(&perms).map(|(&x, p)| p[x]).collect();
+                g.cost(i, &old)
+            })
+        });
+        for (m, r) in both(&game).into_iter().zip(both(&relabelled)) {
+            prop_assert_eq!(bits(m), bits(r));
+        }
+    }
+
+    /// One support state and one type per agent is complete information:
+    /// partial equals complete within `approx_eq`.
+    #[test]
+    fn a_point_mass_prior_equates_partial_and_complete_information(
+        seed in 0u64..2000,
+        agents in 2usize..4,
+    ) {
+        let (g, _) = random_potential_game(agents, &vec![3; agents], seed);
+        let game = BayesianGame::new(vec![1; agents], vec![(vec![0; agents], 1.0, g)])
+            .expect("point mass");
+        for m in both(&game) {
+            prop_assert!(
+                approx_eq(m.opt_p, m.opt_c)
+                    && approx_eq(m.best_eq_p, m.best_eq_c)
+                    && approx_eq(m.worst_eq_p, m.worst_eq_c),
+                "{m:?}"
+            );
+        }
     }
 }
 
