@@ -46,7 +46,7 @@ use std::time::Instant;
 
 use bi_core::solve::SolverConfig;
 use bi_obs::log as olog;
-use bi_service::http::{read_response, write_request, write_request_with};
+use bi_service::http::{read_response, write_request, HttpClient};
 use bi_service::service::{BatchRequest, SolveRequest};
 use bi_service::workload::{light_workload, mixed_workload};
 use bi_util::rng::{derive_seed, seeded};
@@ -355,52 +355,6 @@ impl PhaseStats {
     }
 }
 
-/// One keep-alive client connection driving `/solve` requests.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Client {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-        })
-    }
-
-    /// Sends one request (with an `X-Bi-Trace` header when `trace` is
-    /// set); returns `(latency_us, status, cache_hit, retry_after_secs)`.
-    fn solve(
-        &mut self,
-        path: &str,
-        body: &[u8],
-        trace: Option<u64>,
-    ) -> std::io::Result<(u64, u16, bool, Option<u64>)> {
-        let start = Instant::now();
-        match trace {
-            Some(id) => write_request_with(
-                &mut self.writer,
-                "POST",
-                path,
-                body,
-                true,
-                &[("X-Bi-Trace", id.to_string())],
-            )?,
-            None => write_request(&mut self.writer, "POST", path, body, true)?,
-        }
-        let response = read_response(&mut self.reader)?;
-        let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let hit = response.header("x-cache") == Some("hit");
-        let retry_after = response
-            .header("retry-after")
-            .and_then(|secs| secs.trim().parse::<u64>().ok());
-        Ok((micros, response.status, hit, retry_after))
-    }
-}
-
 /// Retries a 429 response grants before it counts as a terminal error.
 const RETRY_429_MAX: u32 = 2;
 /// Ceiling on the honored `Retry-After` sleep, so a pathological header
@@ -414,7 +368,7 @@ const RETRY_429_DEFAULT_MS: u64 = 25;
 /// reconnects fresh.
 struct ClientSet<'a> {
     targets: &'a [String],
-    conns: Vec<Option<Client>>,
+    conns: Vec<Option<HttpClient>>,
 }
 
 impl<'a> ClientSet<'a> {
@@ -429,7 +383,7 @@ impl<'a> ClientSet<'a> {
     /// setup out of the timed window and sequential across clients).
     fn warm(&mut self, target: usize) -> std::io::Result<()> {
         if self.conns[target].is_none() {
-            self.conns[target] = Some(Client::connect(&self.targets[target])?);
+            self.conns[target] = Some(HttpClient::connect(&self.targets[target])?);
         }
         Ok(())
     }
@@ -463,6 +417,9 @@ impl<'a> ClientSet<'a> {
         }
     }
 
+    /// One request to `target` (with an `X-Bi-Trace` header when
+    /// `trace` is set); returns `(latency_us, status, cache_hit,
+    /// retry_after_secs)`. A transport error drops the connection.
     fn solve_once(
         &mut self,
         target: usize,
@@ -470,17 +427,25 @@ impl<'a> ClientSet<'a> {
         body: &[u8],
         trace: Option<u64>,
     ) -> std::io::Result<(u64, u16, bool, Option<u64>)> {
-        if self.conns[target].is_none() {
-            self.conns[target] = Some(Client::connect(&self.targets[target])?);
-        }
-        let result = self.conns[target]
+        self.warm(target)?;
+        let client = self.conns[target]
             .as_mut()
-            .expect("connection just ensured")
-            .solve(path, body, trace);
-        if result.is_err() {
-            self.conns[target] = None;
-        }
-        result
+            .expect("connection just ensured");
+        let trace_header = trace.map(|id| ("X-Bi-Trace", id.to_string()));
+        let start = Instant::now();
+        let response = match client.request("POST", path, body, trace_header.as_slice()) {
+            Ok(response) => response,
+            Err(e) => {
+                self.conns[target] = None;
+                return Err(e);
+            }
+        };
+        let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let hit = response.header("x-cache") == Some("hit");
+        let retry_after = response
+            .header("retry-after")
+            .and_then(|secs| secs.trim().parse::<u64>().ok());
+        Ok((micros, response.status, hit, retry_after))
     }
 }
 
@@ -793,7 +758,7 @@ fn main() {
 
     // Scrape each target's own view for the report.
     let server_metrics = if args.targets.len() == 1 {
-        scrape_metrics(&args.targets[0]).unwrap_or(Json::Null)
+        scrape(&args.targets[0], "/metrics").unwrap_or(Json::Null)
     } else {
         Json::Arr(
             args.targets
@@ -801,7 +766,10 @@ fn main() {
                 .map(|addr| {
                     Json::Obj(vec![
                         ("addr".into(), Json::str(addr)),
-                        ("metrics".into(), scrape_metrics(addr).unwrap_or(Json::Null)),
+                        (
+                            "metrics".into(),
+                            scrape(addr, "/metrics").unwrap_or(Json::Null),
+                        ),
                     ])
                 })
                 .collect(),
@@ -960,7 +928,7 @@ impl StageRow {
 fn stage_breakdown(targets: &[String]) -> Vec<StageRow> {
     let mut rows: Vec<StageRow> = Vec::new();
     for addr in targets {
-        let Some(doc) = scrape_debug_trace(addr) else {
+        let Some(doc) = scrape(addr, "/debug/trace") else {
             olog::warn(
                 "bi-loadgen",
                 "debug/trace scrape failed",
@@ -1003,16 +971,10 @@ fn stage_breakdown(targets: &[String]) -> Vec<StageRow> {
     rows
 }
 
-fn scrape_debug_trace(addr: &str) -> Option<Json> {
-    let mut client = Client::connect(addr).ok()?;
-    write_request(&mut client.writer, "GET", "/debug/trace", b"", false).ok()?;
-    let response = read_response(&mut client.reader).ok()?;
-    Json::parse(std::str::from_utf8(&response.body).ok()?).ok()
-}
-
-fn scrape_metrics(addr: &str) -> Option<Json> {
-    let mut client = Client::connect(addr).ok()?;
-    write_request(&mut client.writer, "GET", "/metrics", b"", false).ok()?;
-    let response = read_response(&mut client.reader).ok()?;
+/// One `GET path` on a fresh `Connection: close` socket, parsed as JSON.
+fn scrape(addr: &str, path: &str) -> Option<Json> {
+    let mut stream = TcpStream::connect(addr).ok()?;
+    write_request(&mut stream, "GET", path, b"", false, &[]).ok()?;
+    let response = read_response(&mut BufReader::new(stream)).ok()?;
     Json::parse(std::str::from_utf8(&response.body).ok()?).ok()
 }

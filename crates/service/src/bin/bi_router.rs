@@ -36,7 +36,10 @@ bi-router — consistent-hash router over a bi-serve fleet
 USAGE: bi-router --backends HOST:PORT,... [OPTIONS]
 
 Keys are routed over a consistent-hash ring with 64 virtual nodes per
-backend. When no backend is live the router solves the request itself.
+backend. A request whose replicas fail or shed load is retried for up to
+3 rounds within a 30 s budget, backing off from 10 ms; when no backend
+is live the router solves the request itself. Client connections idle
+for 10 s are closed.
 
 OPTIONS:
   --addr HOST:PORT      bind address (default 127.0.0.1:0 = ephemeral port)
@@ -46,15 +49,7 @@ OPTIONS:
   --replication N       replica owners per key: solved results are written
                         through to all N owners and dead owners are
                         read-repaired when they return (default 1)
-  --deadline-ms N       per-request retry/backoff deadline budget
-                        (default 30000)
-  --retry-rounds N      retry rounds across live replicas per request
-                        (default 3)
-  --backoff-ms N        first-round retry backoff, doubled per round with
-                        jitter (default 10)
-  --backoff-max-ms N    retry backoff ceiling (default 500)
-  --timeout-secs N      idle keep-alive timeout per client connection
-                        (default 10)
+  --backoff-max-ms N    retry backoff ceiling in ms (default 500)
   --trace-slow-us N     log the span tree of any request slower than N µs
                         (default: off)
   --help                print this help
@@ -88,20 +83,8 @@ fn parse_args() -> Result<RouterConfig, String> {
                 config.fail_threshold = parse_num(&flag, &value)?.max(1) as u32;
             }
             "--replication" => config.replication = parse_num(&flag, &value)?.max(1),
-            "--deadline-ms" => {
-                config.request_deadline = Duration::from_millis(parse_num(&flag, &value)? as u64);
-            }
-            "--retry-rounds" => {
-                config.max_retry_rounds = parse_num(&flag, &value)?.max(1) as u32;
-            }
-            "--backoff-ms" => {
-                config.retry_base_backoff = Duration::from_millis(parse_num(&flag, &value)? as u64);
-            }
             "--backoff-max-ms" => {
                 config.retry_max_backoff = Duration::from_millis(parse_num(&flag, &value)? as u64);
-            }
-            "--timeout-secs" => {
-                config.read_timeout = Duration::from_secs(parse_num(&flag, &value)? as u64);
             }
             "--trace-slow-us" => {
                 config.trace_slow_us = Some(parse_num(&flag, &value)? as u64);
@@ -143,14 +126,6 @@ fn main() {
                 Json::from_u64(u64::from(config.fail_threshold)),
             ),
             ("replication", Json::from_u64(config.replication as u64)),
-            (
-                "deadline_ms",
-                Json::from_u64(config.request_deadline.as_millis() as u64),
-            ),
-            (
-                "retry_rounds",
-                Json::from_u64(u64::from(config.max_retry_rounds)),
-            ),
             (
                 "trace_slow_us",
                 config.trace_slow_us.map_or(Json::Null, Json::from_u64),

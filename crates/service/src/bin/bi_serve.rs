@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! bi-serve --addr 127.0.0.1:0 --workers 4 --queue 256 \
-//!          --max-connections 8192 --cache-capacity 4096 --cache-shards 16
+//!          --cache-capacity 4096 --cache-shards 16
 //! ```
 //!
 //! Endpoints: `POST /solve`, `POST /solve_batch`, `GET /metrics`,
@@ -20,7 +20,6 @@
 
 use std::io::Write;
 use std::process::exit;
-use std::time::Duration;
 
 use bi_obs::log as olog;
 use bi_service::{FaultPlan, Server, ServerConfig};
@@ -31,18 +30,17 @@ bi-serve — concurrent Bayesian-ignorance solve service
 
 USAGE: bi-serve [OPTIONS]
 
+Connections idle for 10 s are closed; beyond 8192 open connections new
+arrivals get 503.
+
 OPTIONS:
   --addr HOST:PORT      bind address (default 127.0.0.1:0 = ephemeral port)
   --workers N           solver threads, 0 = one per core (default 0)
   --queue N             pending-solve queue bound; overflow gets 429 (default 128)
-  --max-connections N   concurrent connection cap; overflow gets 503 (default 8192)
   --cache-capacity N    total solve-cache entries, 0 disables (default 4096)
   --cache-shards N      independently locked cache shards (default 16)
-  --timeout-secs N      idle keep-alive timeout per connection (default 10)
-  --disk-cache PATH     append-only disk cache log; reboots replay it warm
-                        (default: memory-only)
-  --compact-ratio N     rewrite the disk log once it exceeds N× its live
-                        bytes; 0 disables compaction (default 2)
+  --disk-cache PATH     append-only disk cache log, compacted past 2× its
+                        live bytes; reboots replay it warm (default: memory-only)
   --fault-plan SPEC     seeded deterministic fault injection, e.g.
                         `seed=42,rate=50000,kinds=refuse+err500,delay-ms=5`
                         (default: off; kinds also include disconnect,
@@ -67,16 +65,9 @@ fn parse_args() -> Result<ServerConfig, String> {
             "--addr" => config.addr = value,
             "--workers" => config.workers = parse_num(&flag, &value)?,
             "--queue" => config.queue_capacity = parse_num(&flag, &value)?,
-            "--max-connections" => config.max_connections = parse_num(&flag, &value)?,
             "--cache-capacity" => config.cache.capacity = parse_num(&flag, &value)?,
             "--cache-shards" => config.cache.shards = parse_num(&flag, &value)?,
-            "--timeout-secs" => {
-                config.read_timeout = Duration::from_secs(parse_num(&flag, &value)? as u64);
-            }
             "--disk-cache" => config.disk_path = Some(value.into()),
-            "--compact-ratio" => {
-                config.disk.compact_ratio = parse_num(&flag, &value)? as u32;
-            }
             "--fault-plan" => {
                 config.fault = Some(std::sync::Arc::new(FaultPlan::parse(&value)?));
             }
@@ -110,18 +101,10 @@ fn main() {
             ("workers", Json::from_u64(config.workers as u64)),
             ("queue", Json::from_u64(config.queue_capacity as u64)),
             (
-                "max_connections",
-                Json::from_u64(config.max_connections as u64),
-            ),
-            (
                 "cache_capacity",
                 Json::from_u64(config.cache.capacity as u64),
             ),
             ("cache_shards", Json::from_u64(config.cache.shards as u64)),
-            (
-                "timeout_secs",
-                Json::from_u64(config.read_timeout.as_secs()),
-            ),
             (
                 "disk",
                 Json::str(
@@ -130,10 +113,6 @@ fn main() {
                         .as_deref()
                         .map_or("none".into(), |p| p.display().to_string()),
                 ),
-            ),
-            (
-                "compact_ratio",
-                Json::from_u64(u64::from(config.disk.compact_ratio)),
             ),
             (
                 "fault_plan",

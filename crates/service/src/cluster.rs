@@ -35,7 +35,8 @@
 //!
 //! **Framing**: downstream requests are read with [`parse_head`], the
 //! same incremental parser `bi-serve`'s reactor uses, into one reusable
-//! buffer per connection (thread-per-connection, blocking sockets).
+//! buffer per connection (thread-per-connection, blocking sockets; the
+//! accept loop parks on the listener's readiness between arrivals).
 //! Pipelined requests are answered in order, and a protocol error gets
 //! the same status from the router as from a backend, then a close.
 //!
@@ -88,6 +89,7 @@ use bi_util::{fnv1a, Decode, Encode, Json};
 
 use crate::cache::{CacheConfig, ShardedLru};
 use crate::http::{parse_head, ClientResponse, Head, HttpClient, Response};
+use crate::reactor::{listener_fd, PollFd, Poller, POLLIN};
 use crate::server::READ_CHUNK;
 use crate::service::{error_body, BatchRequest, FastOutcome, SolveRequest, SolveService};
 
@@ -102,6 +104,21 @@ const POOL_CAPACITY: usize = 8;
 /// Pending write-through/read-repair deliveries retained; overflow is
 /// dropped (and counted) rather than growing without bound.
 const REPAIR_QUEUE_CAPACITY: usize = 4096;
+/// Idle keep-alive timeout for downstream client connections.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long a blocked accept or connection read waits before
+/// re-checking shutdown (and the idle deadline).
+const SHUTDOWN_POLL: Duration = Duration::from_millis(100);
+/// Total deadline budget per `/solve`: retries and backoff sleeps stop
+/// once it is spent and the request is solved locally.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
+/// Retry rounds per `/solve`: each round walks every live replica once;
+/// later rounds re-try backends that answered a retryable status
+/// (`429`/`5xx`) earlier.
+const MAX_RETRY_ROUNDS: u32 = 3;
+/// First-round retry backoff in ms (doubled per round, deterministically
+/// jittered, capped by [`RouterConfig::retry_max_backoff`]).
+const RETRY_BASE_BACKOFF_MS: u64 = 10;
 
 /// A consistent-hash ring: `vnodes` virtual points per backend over the
 /// 64-bit key-hash space, routing a key hash to the first live backend at
@@ -187,7 +204,8 @@ impl HashRing {
     }
 }
 
-/// Router addressing, ring shape, health policy, and timeouts.
+/// Router addressing, ring shape, health policy, and the retry backoff
+/// ceiling.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
     /// Bind address; port `0` for ephemeral.
@@ -198,8 +216,6 @@ pub struct RouterConfig {
     pub probe_interval: Duration,
     /// Consecutive failures (probe or forward) that eject a backend.
     pub fail_threshold: u32,
-    /// Idle keep-alive timeout for downstream client connections.
-    pub read_timeout: Duration,
     /// When set, any request whose end-to-end routing time reaches this
     /// many microseconds gets its span tree logged at `warn`.
     pub trace_slow_us: Option<u64>,
@@ -208,18 +224,8 @@ pub struct RouterConfig {
     /// `R` each solved result is written through to all `R` owners, so
     /// killing any single backend loses no cached work.
     pub replication: usize,
-    /// Total deadline budget per `/solve`: retries and backoff sleeps
-    /// stop once it is spent and the request is solved locally.
-    pub request_deadline: Duration,
-    /// First-round retry backoff (doubled per round, deterministically
-    /// jittered, capped by `retry_max_backoff`).
-    pub retry_base_backoff: Duration,
     /// Backoff ceiling across retry rounds.
     pub retry_max_backoff: Duration,
-    /// Retry rounds per `/solve` (clamped to ≥ 1): each round walks
-    /// every live replica once; later rounds re-try backends that
-    /// answered a retryable status (`429`/`5xx`) earlier.
-    pub max_retry_rounds: u32,
 }
 
 impl Default for RouterConfig {
@@ -230,13 +236,9 @@ impl Default for RouterConfig {
             backends: Vec::new(),
             probe_interval: Duration::from_millis(500),
             fail_threshold: 2,
-            read_timeout: Duration::from_secs(10),
             trace_slow_us: None,
             replication: 1,
-            request_deadline: Duration::from_secs(30),
-            retry_base_backoff: Duration::from_millis(10),
             retry_max_backoff: Duration::from_millis(500),
-            max_retry_rounds: 3,
         }
     }
 }
@@ -514,11 +516,16 @@ impl RouterHandle {
     }
 }
 
-/// Accepts connections until shutdown, one handler thread each.
+/// Accepts connections until shutdown, one handler thread each. With
+/// nothing to accept it parks in the reactor's [`Poller`] on the
+/// listener until a connection arrives or [`SHUTDOWN_POLL`] elapses.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let poller = Poller::new();
+    let poll_ms = u32::try_from(SHUTDOWN_POLL.as_millis()).unwrap_or(u32::MAX);
+    let mut fds = [PollFd::new(listener_fd(listener), POLLIN)];
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
+        let outcome = match listener.accept() {
             Ok((stream, _)) => {
                 shared
                     .metrics
@@ -526,13 +533,18 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     .fetch_add(1, Ordering::Relaxed);
                 let shared = Arc::clone(shared);
                 handlers.push(std::thread::spawn(move || handle_conn(&stream, &shared)));
+                Ok(())
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 handlers.retain(|h| !h.is_finished());
-                std::thread::sleep(Duration::from_millis(5));
+                poller.wait(&mut fds, poll_ms).map(drop)
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(()),
+            Err(e) => Err(e),
+        };
+        if outcome.is_err() {
+            // Back off so a persistent failure (`EMFILE`) cannot spin.
+            std::thread::sleep(Duration::from_millis(5));
         }
     }
     for handler in handlers {
@@ -546,10 +558,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 fn handle_conn(stream: &TcpStream, shared: &Shared) {
     // One read timeout for the connection's life: short, so a blocked
     // read wakes to check shutdown and the idle deadline.
-    let poll = Duration::from_millis(100).min(shared.config.read_timeout);
     if stream.set_nonblocking(false).is_err()
         || stream.set_nodelay(true).is_err()
-        || stream.set_read_timeout(Some(poll)).is_err()
+        || stream.set_read_timeout(Some(SHUTDOWN_POLL)).is_err()
     {
         return;
     }
@@ -594,7 +605,7 @@ fn handle_conn(stream: &TcpStream, shared: &Shared) {
                         | io::ErrorKind::Interrupted
                 ) =>
             {
-                if last_activity.elapsed() > shared.config.read_timeout {
+                if last_activity.elapsed() > IDLE_TIMEOUT {
                     return; // idle (or stalled mid-request) too long
                 }
             }
@@ -765,9 +776,8 @@ fn retryable_status(status: u16) -> bool {
 /// key hash — two routers never thundering-herd the same backend on the
 /// same schedule, yet a rerun of the same traffic backs off identically.
 fn retry_backoff(config: &RouterConfig, hash: u64, round: u32) -> Duration {
-    let base = u64::try_from(config.retry_base_backoff.as_millis().max(1)).unwrap_or(u64::MAX);
     let cap = u64::try_from(config.retry_max_backoff.as_millis().max(1)).unwrap_or(u64::MAX);
-    let exp = base.saturating_mul(1u64 << round.min(16)).min(cap).max(1);
+    let exp = (RETRY_BASE_BACKOFF_MS << round.min(16)).min(cap);
     let mut seed = [0u8; 16];
     seed[..8].copy_from_slice(&hash.to_le_bytes());
     seed[8..].copy_from_slice(&u64::from(round).to_le_bytes());
@@ -798,9 +808,9 @@ fn handle_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
     let owners = shared
         .ring
         .route_replicas(hash, shared.config.replication.max(1), |_| true);
-    let deadline = Instant::now() + shared.config.request_deadline;
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut retry_hint: Option<Duration> = None;
-    for round in 0..shared.config.max_retry_rounds.max(1) {
+    for round in 0..MAX_RETRY_ROUNDS {
         let mut tried = vec![false; shared.backends.len()];
         let mut attempted = false;
         while let Some(idx) = shared.ring.route(hash, |i| {
@@ -856,7 +866,7 @@ fn handle_solve(shared: &Shared, body: &[u8], ctx: TraceCtx) -> Response {
                 }
             }
         }
-        if !attempted || round + 1 >= shared.config.max_retry_rounds.max(1) {
+        if !attempted || round + 1 >= MAX_RETRY_ROUNDS {
             break; // nobody live, or rounds exhausted
         }
         let remaining = deadline.saturating_duration_since(Instant::now());
@@ -1034,7 +1044,7 @@ fn send(
     let backend = &shared.backends[idx];
     let pooled = backend.pool.lock().expect("pool poisoned").pop();
     if let Some(mut client) = pooled {
-        if let Ok(response) = client.request_with("POST", path, body, extra) {
+        if let Ok(response) = client.request("POST", path, body, extra) {
             release(shared, idx, client);
             return Ok(response);
         }
@@ -1042,7 +1052,7 @@ fn send(
     }
     let mut client = HttpClient::connect_timeout(&backend.addr, CONNECT_TIMEOUT)?;
     client.set_read_timeout(Some(UPSTREAM_TIMEOUT))?;
-    let response = client.request_with("POST", path, body, extra)?;
+    let response = client.request("POST", path, body, extra)?;
     release(shared, idx, client);
     Ok(response)
 }
@@ -1242,7 +1252,7 @@ fn probe(backend: &Backend) -> bool {
         return false;
     }
     client
-        .request("GET", "/healthz", b"")
+        .request("GET", "/healthz", b"", &[])
         .is_ok_and(|response| response.status == 200)
 }
 

@@ -344,29 +344,15 @@ fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Writes one client request (used by the load generator and tests).
+/// Writes one client request with extra `(name, value)` headers after
+/// the fixed ones — how trace context (`X-Bi-Trace`, `X-Bi-Parent`)
+/// rides along a forwarded request without the router reserializing
+/// anything. Pass `&[]` for none.
 ///
 /// # Errors
 ///
 /// Returns transport failures.
 pub fn write_request<S: Write>(
-    stream: &mut S,
-    method: &str,
-    path: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    write_request_with(stream, method, path, body, keep_alive, &[])
-}
-
-/// [`write_request`] with extra `(name, value)` headers — how trace
-/// context (`X-Bi-Trace`, `X-Bi-Parent`) rides along a forwarded
-/// request without the router reserializing anything.
-///
-/// # Errors
-///
-/// Returns transport failures.
-pub fn write_request_with<S: Write>(
     stream: &mut S,
     method: &str,
     path: &str,
@@ -477,9 +463,14 @@ impl HttpClient {
     ///
     /// # Errors
     ///
-    /// Propagates resolution and connect failures.
+    /// Propagates resolution, connect and socket option failures.
     pub fn connect(addr: &str) -> io::Result<HttpClient> {
-        Self::from_stream(std::net::TcpStream::connect(addr)?)
+        let stream = std::net::TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(HttpClient {
+            reader: std::io::BufReader::new(stream.try_clone()?),
+            writer: stream,
+        })
     }
 
     /// Connects to `addr` with a connect deadline — the router's probe
@@ -487,21 +478,14 @@ impl HttpClient {
     ///
     /// # Errors
     ///
-    /// Propagates resolution failures, connect failures, and the timeout.
+    /// Propagates resolution failures, connect failures, the timeout,
+    /// and socket option failures.
     pub fn connect_timeout(addr: &str, timeout: std::time::Duration) -> io::Result<HttpClient> {
         use std::net::ToSocketAddrs;
         let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, "address resolved to nothing")
         })?;
-        Self::from_stream(std::net::TcpStream::connect_timeout(&resolved, timeout)?)
-    }
-
-    /// Wraps an already connected stream (nodelay is enabled here).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket option and clone failures.
-    pub fn from_stream(stream: std::net::TcpStream) -> io::Result<HttpClient> {
+        let stream = std::net::TcpStream::connect_timeout(&resolved, timeout)?;
         stream.set_nodelay(true)?;
         Ok(HttpClient {
             reader: std::io::BufReader::new(stream.try_clone()?),
@@ -518,29 +502,20 @@ impl HttpClient {
         self.writer.set_read_timeout(timeout)
     }
 
-    /// Sends one keep-alive request and blocks for the response.
+    /// Sends one keep-alive request (with `extra` headers, `&[]` for
+    /// none) and blocks for the response.
     ///
     /// # Errors
     ///
     /// Returns transport failures (the connection should be discarded).
-    pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<ClientResponse> {
-        write_request(&mut self.writer, method, path, body, true)?;
-        read_response(&mut self.reader)
-    }
-
-    /// [`HttpClient::request`] with extra headers (trace propagation).
-    ///
-    /// # Errors
-    ///
-    /// Returns transport failures (the connection should be discarded).
-    pub fn request_with(
+    pub fn request(
         &mut self,
         method: &str,
         path: &str,
         body: &[u8],
         extra: &[(&str, String)],
     ) -> io::Result<ClientResponse> {
-        write_request_with(&mut self.writer, method, path, body, true, extra)?;
+        write_request(&mut self.writer, method, path, body, true, extra)?;
         read_response(&mut self.reader)
     }
 }
@@ -559,7 +534,7 @@ mod tests {
     #[test]
     fn requests_round_trip_through_the_wire_format() {
         let mut wire = Vec::new();
-        write_request(&mut wire, "POST", "/solve", b"{\"x\":1}", true).unwrap();
+        write_request(&mut wire, "POST", "/solve", b"{\"x\":1}", true, &[]).unwrap();
         let head = parse_head(&wire).unwrap().unwrap();
         assert_eq!(&wire[head.method.clone()], b"POST");
         assert_eq!(&wire[head.path.clone()], b"/solve");
@@ -573,7 +548,7 @@ mod tests {
     #[test]
     fn connection_close_is_honored() {
         let mut wire = Vec::new();
-        write_request(&mut wire, "GET", "/healthz", b"", false).unwrap();
+        write_request(&mut wire, "GET", "/healthz", b"", false, &[]).unwrap();
         let head = parse_head(&wire).unwrap().unwrap();
         assert!(!head.keep_alive);
         assert_eq!(head.total_len(), wire.len());
@@ -636,7 +611,7 @@ mod tests {
     #[test]
     fn incremental_parse_handles_partial_heads_byte_by_byte() {
         let mut wire = Vec::new();
-        write_request(&mut wire, "POST", "/solve", b"{\"x\":1}", true).unwrap();
+        write_request(&mut wire, "POST", "/solve", b"{\"x\":1}", true, &[]).unwrap();
         // Every strict prefix that lacks the head terminator is
         // Incomplete, never an error.
         let full = parse_head(&wire).unwrap().expect("complete head");
@@ -742,7 +717,7 @@ mod tests {
     #[test]
     fn extra_request_headers_survive_the_round_trip() {
         let mut wire = Vec::new();
-        write_request_with(
+        write_request(
             &mut wire,
             "POST",
             "/solve",
@@ -763,12 +738,13 @@ mod tests {
         // …adopted by the parser as trace context.
         assert_eq!(head.trace_id, Some(99));
         assert_eq!(head.parent_span, Some(3));
-        // Without extras the writers emit byte-identical requests.
+        // Without extras the request is exactly the fixed header block.
         let mut plain = Vec::new();
-        let mut with_empty = Vec::new();
-        write_request(&mut plain, "GET", "/healthz", b"", true).unwrap();
-        write_request_with(&mut with_empty, "GET", "/healthz", b"", true, &[]).unwrap();
-        assert_eq!(plain, with_empty);
+        write_request(&mut plain, "GET", "/healthz", b"", true, &[]).unwrap();
+        assert_eq!(
+            plain,
+            b"GET /healthz HTTP/1.1\r\nHost: bi-serve\r\nContent-Type: application/json\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n"
+        );
     }
 
     #[test]
@@ -794,8 +770,8 @@ mod tests {
     #[test]
     fn two_keep_alive_requests_parse_in_sequence() {
         let mut wire = Vec::new();
-        write_request(&mut wire, "GET", "/metrics", b"", true).unwrap();
-        write_request(&mut wire, "POST", "/solve", b"{}", true).unwrap();
+        write_request(&mut wire, "GET", "/metrics", b"", true, &[]).unwrap();
+        write_request(&mut wire, "POST", "/solve", b"{}", true, &[]).unwrap();
         // Pipelined: both requests sit in one buffer, consumed in order.
         let a = parse_head(&wire).unwrap().unwrap();
         assert_eq!(&wire[a.path.clone()], b"/metrics");

@@ -41,9 +41,11 @@ pub struct ServiceMetrics {
     pub responses_2xx: AtomicU64,
     /// Responses with 4xx status (decode/validation failures).
     pub responses_4xx: AtomicU64,
-    /// Responses with 5xx status, excluding queue rejections.
+    /// Responses with 5xx status, connection-cap `503`s included.
     pub responses_5xx: AtomicU64,
-    /// Connections answered `503` because the request queue was full.
+    /// Connections answered `503` and closed because the connection cap
+    /// was reached (also counted in `responses_5xx`). Pending-solve
+    /// queue overflow is `backpressure_429`.
     pub rejected_busy: AtomicU64,
     /// Requests answered `429` because the pending-solve queue was full
     /// (backpressure, not failure — the client should retry).
@@ -71,8 +73,8 @@ pub struct ServiceMetrics {
     /// `orbits_evaluated` is the fleet-wide orbit-reduction factor.
     pub orbit_profiles_represented: AtomicU64,
     /// Solve jobs currently inside the solver pool (a gauge) — together
-    /// with `cfg_queue_capacity`, a router can read how close a backend
-    /// is to shedding load.
+    /// with `cfg_queue_capacity`, it shows how close the backend is to
+    /// shedding load.
     pub solves_in_flight: AtomicU64,
     /// Configured pending-solve queue bound (a gauge, set at start).
     pub cfg_queue_capacity: AtomicU64,
@@ -157,8 +159,7 @@ impl ServiceMetrics {
     }
 
     /// Sets the start-time configuration gauges the document reports
-    /// under `config` (the router reads them to complete its
-    /// backpressure view of each backend).
+    /// under `config`.
     pub fn set_config_gauges(
         &self,
         queue_capacity: usize,

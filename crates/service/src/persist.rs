@@ -59,28 +59,27 @@ use bi_util::{crc32, Crc32, FnvBuildHasher};
 /// Frame header: `key_len`, `val_len`, `crc32`.
 const HEADER_LEN: u64 = 12;
 
-/// Sizing and back-pressure of a [`DiskTier`].
+/// Bound of the write-behind queue; when full, appends are dropped (and
+/// counted) instead of blocking the hot path.
+const QUEUE_CAPACITY: usize = 4096;
+
+/// Compaction trigger: the log is rewritten once its on-disk size
+/// exceeds this multiple of the live (last-version) bytes.
+const COMPACT_RATIO: u64 = 2;
+
+/// The compaction floor of a [`DiskTier`]. The write-behind queue bound
+/// (4096 appends) and the compaction ratio (2× live bytes) are fixed.
 #[derive(Clone, Copy, Debug)]
 pub struct DiskTierConfig {
-    /// Bound of the write-behind queue; when full, appends are dropped
-    /// (and counted) instead of blocking the hot path.
-    pub queue_capacity: usize,
-    /// Compaction trigger: rewrite the log once its on-disk size exceeds
-    /// this multiple of the live (last-version) bytes. `0` disables
-    /// compaction entirely.
-    pub compact_ratio: u32,
     /// Logs smaller than this never compact — rewriting a few KiB to
     /// reclaim half of it is churn, not savings.
     pub compact_min_bytes: u64,
 }
 
 impl Default for DiskTierConfig {
-    /// A 4096-append queue, compacting past 2× live bytes on logs of at
-    /// least 64 KiB.
+    /// Compaction only on logs of at least 64 KiB.
     fn default() -> Self {
         DiskTierConfig {
-            queue_capacity: 4096,
-            compact_ratio: 2,
             compact_min_bytes: 64 * 1024,
         }
     }
@@ -193,7 +192,7 @@ impl DiskTier {
         counters.log_bytes.store(end, Ordering::Relaxed);
         counters.live_bytes.store(live, Ordering::Relaxed);
         let reader = Arc::new(Mutex::new(file));
-        let (tx, rx) = sync_channel(config.queue_capacity.max(1));
+        let (tx, rx) = sync_channel(QUEUE_CAPACITY);
         let writer = {
             let index = Arc::clone(&index);
             let counters = Arc::clone(&counters);
@@ -205,7 +204,7 @@ impl DiskTier {
                     end,
                     live,
                     path,
-                    config,
+                    compact_min_bytes: config.compact_min_bytes,
                 };
                 writer_loop(&rx, &mut state, &index, &reader, &counters);
             })
@@ -386,7 +385,7 @@ struct WriterState {
     end: u64,
     live: u64,
     path: PathBuf,
-    config: DiskTierConfig,
+    compact_min_bytes: u64,
 }
 
 /// The sibling path a compaction rewrites into before the atomic rename.
@@ -399,7 +398,7 @@ pub fn compact_path(path: &Path) -> PathBuf {
 
 /// The write-behind thread: frames and appends records, indexing each
 /// one once it (and everything before it) is flushed, and compacting
-/// the log when dead re-append weight crosses the configured ratio.
+/// the log when dead re-append weight crosses `COMPACT_RATIO`.
 fn writer_loop(
     rx: &Receiver<WriteMsg>,
     state: &mut WriterState,
@@ -463,7 +462,7 @@ fn writer_loop(
     let _ = state.out.flush();
 }
 
-/// Compacts when the log has outgrown the configured multiple of its
+/// Compacts when the log has outgrown `COMPACT_RATIO` times its
 /// live bytes. All fallible work — rewriting the live records into a
 /// sibling file, fsyncing it, opening the new read/append handles —
 /// happens *before* the commit point, a single atomic rename; a crash
@@ -477,11 +476,8 @@ fn maybe_compact(
     reader: &Mutex<File>,
     counters: &Counters,
 ) {
-    let ratio = u64::from(state.config.compact_ratio);
-    if ratio == 0 || state.end < state.config.compact_min_bytes {
-        return;
-    }
-    if state.end <= state.live.saturating_mul(ratio) {
+    if state.end < state.compact_min_bytes || state.end <= state.live.saturating_mul(COMPACT_RATIO)
+    {
         return;
     }
     // Snapshot the live set. Only this thread mutates the index, so the
@@ -703,7 +699,6 @@ mod tests {
     fn eager_compaction() -> DiskTierConfig {
         DiskTierConfig {
             compact_min_bytes: 1,
-            ..DiskTierConfig::default()
         }
     }
 

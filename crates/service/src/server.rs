@@ -69,7 +69,7 @@ use bi_util::Json;
 use crate::cache::CacheConfig;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::http::{parse_head, write_head_into, Response};
-use crate::persist::DiskTierConfig;
+use crate::persist::{DiskTier, DiskTierConfig};
 use crate::reactor::{
     listener_fd, raw_fd, PollFd, Poller, WakePair, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL,
     POLLOUT,
@@ -91,18 +91,17 @@ pub struct ServerConfig {
     /// Solve-cache sizing.
     pub cache: CacheConfig,
     /// Idle keep-alive timeout per connection (stalled writers count as
-    /// idle too; connections waiting on a solve do not).
+    /// idle too; connections waiting on a solve do not). `bi-serve`
+    /// always runs the 10 s default.
     pub read_timeout: Duration,
     /// Maximum simultaneously open connections; arrivals beyond the cap
-    /// are answered `503` and closed immediately.
+    /// are answered `503` and closed immediately. `bi-serve` always runs
+    /// the 8192 default.
     pub max_connections: usize,
     /// Path of the disk-backed cache log (`None` runs memory-only). The
     /// log is opened (and its torn tail repaired) at bind time; a
     /// restarted node replays its old key space warm.
     pub disk_path: Option<std::path::PathBuf>,
-    /// Disk-tier sizing: the write-behind queue bound and the log
-    /// compaction trigger (ignored when `disk_path` is `None`).
-    pub disk: DiskTierConfig,
     /// Deterministic fault injection (`--fault-plan` on `bi-serve`).
     /// `None` serves faithfully; `Some` threads the seeded plan through
     /// the reactor's accept/read/write/dispatch seams for chaos tests.
@@ -127,7 +126,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(10),
             max_connections: 8192,
             disk_path: None,
-            disk: DiskTierConfig::default(),
             fault: None,
             trace_slow_us: None,
         }
@@ -150,7 +148,7 @@ impl Server {
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let disk = match &config.disk_path {
-            Some(path) => Some(crate::persist::DiskTier::open(path, config.disk)?),
+            Some(path) => Some(DiskTier::open(path, DiskTierConfig::default())?),
             None => None,
         };
         let service = Arc::new(SolveService::with_disk(config.cache, disk));

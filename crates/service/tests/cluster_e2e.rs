@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use bi_core::solve::{Solver, SolverConfig};
-use bi_service::http::{read_response, write_request, write_request_with, ClientResponse};
+use bi_service::http::{read_response, write_request, ClientResponse};
 use bi_service::workload::{light_workload, mixed_workload};
 use bi_service::{
     BatchRequest, GameSpec, Router, RouterConfig, RouterHandle, Server, ServerConfig, ServerHandle,
@@ -57,7 +57,7 @@ fn call(addr: std::net::SocketAddr, method: &str, path: &str, body: &[u8]) -> Cl
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
-    write_request(&mut writer, method, path, body, false).expect("write request");
+    write_request(&mut writer, method, path, body, false, &[]).expect("write request");
     read_response(&mut reader).expect("read response")
 }
 
@@ -74,7 +74,7 @@ fn call_traced(addr: std::net::SocketAddr, body: &[u8], trace_id: u64) -> Client
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
-    write_request_with(
+    write_request(
         &mut writer,
         "POST",
         "/solve",
@@ -633,7 +633,7 @@ fn pipelined_keep_alive_requests_through_the_router_are_answered_in_order() {
     // already buffered when it has answered the first.
     let mut wire = Vec::new();
     for body in &bodies {
-        write_request(&mut wire, "POST", "/solve", body, true).expect("encode request");
+        write_request(&mut wire, "POST", "/solve", body, true, &[]).expect("encode request");
     }
     let stream = TcpStream::connect(router.addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -647,7 +647,7 @@ fn pipelined_keep_alive_requests_through_the_router_are_answered_in_order() {
         assert_eq!(response.header("connection"), Some("keep-alive"));
     }
     // The connection stays usable after the pipelined pair.
-    write_request(&mut writer, "GET", "/healthz", b"", false).expect("write");
+    write_request(&mut writer, "GET", "/healthz", b"", false, &[]).expect("write");
     assert_eq!(read_response(&mut reader).expect("read").status, 200);
     router.stop();
     for backend in backends {

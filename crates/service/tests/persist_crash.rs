@@ -181,9 +181,7 @@ fn a_compaction_that_reached_its_rename_boots_on_the_live_set() {
 fn compaction_bounds_the_log_to_twice_its_live_bytes() {
     let path = temp_log("compact-bound");
     let config = DiskTierConfig {
-        compact_ratio: 2,
         compact_min_bytes: 1024,
-        ..DiskTierConfig::default()
     };
     let keys = 32usize;
     let versions = 40u32;

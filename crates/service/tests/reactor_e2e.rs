@@ -35,7 +35,7 @@ fn solve_wire(seed: u64) -> Vec<u8> {
     }
     .canonical_bytes();
     let mut wire = Vec::new();
-    write_request(&mut wire, "POST", "/solve", &body, true).expect("serialize");
+    write_request(&mut wire, "POST", "/solve", &body, true, &[]).expect("serialize");
     wire
 }
 
@@ -93,7 +93,7 @@ fn pipelined_requests_are_answered_in_order() {
     // and a healthz — answers must come back in exactly this order.
     let mut wire = solve_wire(72);
     wire.extend_from_slice(&solve_wire(72));
-    write_request(&mut wire, "GET", "/healthz", b"", true).expect("serialize");
+    write_request(&mut wire, "GET", "/healthz", b"", true, &[]).expect("serialize");
     writer.write_all(&wire).expect("write");
     writer.flush().expect("flush");
     let first = read_response(&mut reader).expect("first");
@@ -206,7 +206,7 @@ fn idle_connections_are_swept_after_the_timeout() {
     let stream = TcpStream::connect(handle.addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
-    write_request(&mut writer, "GET", "/healthz", b"", true).expect("write");
+    write_request(&mut writer, "GET", "/healthz", b"", true, &[]).expect("write");
     assert_eq!(read_response(&mut reader).expect("read").status, 200);
     // Go quiet past the timeout: the server must close the connection.
     let mut rest = Vec::new();

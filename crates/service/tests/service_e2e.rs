@@ -14,7 +14,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use bi_core::solve::{Solver, SolverConfig};
-use bi_service::http::{read_response, write_request, write_request_with, ClientResponse};
+use bi_service::http::{read_response, write_request, ClientResponse};
 use bi_service::workload::{matrix_game, mixed_workload, ncs_game};
 use bi_service::{
     BatchRequest, GameSpec, Server, ServerConfig, ServerHandle, SolveRequest, SpanEvent, Stage,
@@ -37,7 +37,7 @@ fn call(addr: std::net::SocketAddr, method: &str, path: &str, body: &[u8]) -> Cl
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
-    write_request(&mut writer, method, path, body, false).expect("write request");
+    write_request(&mut writer, method, path, body, false, &[]).expect("write request");
     read_response(&mut reader).expect("read response")
 }
 
@@ -213,7 +213,7 @@ fn overflowing_the_solver_queue_answers_429() {
         let stream = TcpStream::connect(addr).expect("connect");
         let reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut writer = stream;
-        write_request(&mut writer, "POST", "/solve", &heavy_body(seed), false).expect("write");
+        write_request(&mut writer, "POST", "/solve", &heavy_body(seed), false, &[]).expect("write");
         conns.push((reader, writer));
     }
     let (mut solved, mut rejected) = (0u64, 0u64);
@@ -268,7 +268,15 @@ fn cache_hits_are_served_while_the_solver_pool_is_busy() {
     let mut heavy_reader = BufReader::new(heavy_stream.try_clone().expect("clone"));
     let mut heavy_writer = heavy_stream;
     let started = Instant::now();
-    write_request(&mut heavy_writer, "POST", "/solve", &heavy_body(100), false).expect("write");
+    write_request(
+        &mut heavy_writer,
+        "POST",
+        "/solve",
+        &heavy_body(100),
+        false,
+        &[],
+    )
+    .expect("write");
     // The warmed request must come back before the heavy solve does.
     let hit = call(addr, "POST", "/solve", &light);
     let hit_latency = started.elapsed();
@@ -301,7 +309,7 @@ fn connections_beyond_the_cap_answer_503() {
         let stream = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut writer = stream;
-        write_request(&mut writer, "GET", "/healthz", b"", true).expect("write");
+        write_request(&mut writer, "GET", "/healthz", b"", true, &[]).expect("write");
         assert_eq!(read_response(&mut reader).expect("read").status, 200);
         held.push((reader, writer));
     }
@@ -326,7 +334,7 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     let mut writer = stream;
     let body = solve_body(&matrix_game(51));
     for i in 0..3 {
-        write_request(&mut writer, "POST", "/solve", &body, true).expect("write");
+        write_request(&mut writer, "POST", "/solve", &body, true, &[]).expect("write");
         let response = read_response(&mut reader).expect("read");
         assert_eq!(response.status, 200);
         let expected = if i == 0 { "miss" } else { "hit" };
@@ -344,7 +352,7 @@ fn debug_trace_adopts_the_injected_id_and_nests_stages_under_the_root() {
     let stream = TcpStream::connect(handle.addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
-    write_request_with(
+    write_request(
         &mut writer,
         "POST",
         "/solve",

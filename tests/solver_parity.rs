@@ -4,9 +4,11 @@
 //!   ([`reference::measures`]) **bit-for-bit** on random games, for both
 //!   representations ([`BayesianGame`], [`BayesianNcsGame`]).
 //! * Metamorphic checks, through the solver and the oracle alike:
-//!   power-of-two cost scaling scales every measure exactly, action
-//!   relabelling changes none, and a point-mass prior makes partial
-//!   information equal complete information.
+//!   power-of-two cost scaling scales every measure exactly (matrix and
+//!   NCS games), action relabelling changes none, permuting the agents
+//!   changes none beyond summation order (with and without orbit
+//!   reduction), and a point-mass prior makes partial information equal
+//!   complete information.
 //! * Threaded sweeps must agree with single-threaded sweeps bit-for-bit.
 //! * The sampling backends must bracket the exact measures from inside:
 //!   genuine but possibly non-extremal equilibria, `optP` from above.
@@ -21,8 +23,9 @@ use bayesian_ignorance::core::random_games::{
 };
 use bayesian_ignorance::core::reference::{self, bits};
 use bayesian_ignorance::core::solve::{Backend, SolveError, Solver};
-use bayesian_ignorance::core::{BayesianModel, Measures};
-use bayesian_ignorance::graph::Direction;
+use bayesian_ignorance::core::{BayesianModel, Measures, SymmetryMode};
+use bayesian_ignorance::graph::{Direction, Graph};
+use bayesian_ignorance::ncs::{BayesianNcsGame, Prior};
 use bayesian_ignorance::util::approx_eq;
 use proptest::prelude::*;
 
@@ -38,9 +41,51 @@ fn map_states(game: &BayesianGame, f: impl Fn(&MatrixFormGame) -> MatrixFormGame
 }
 
 /// The measures of `game` from the solver and from the reference oracle.
-fn both(game: &BayesianGame) -> [Measures; 2] {
+fn both<M: BayesianModel>(game: &M) -> [Measures; 2] {
     let solved = Solver::default().solve(game).expect("solvable").measures;
     [solved, reference::measures(game).expect("solvable")]
+}
+
+/// `game` with its agents permuted: new agent `j` is old agent `perm[j]`,
+/// so every type vector and action profile is re-indexed by `perm` and
+/// cost′(j, a′) = cost(perm[j], a′∘perm⁻¹).
+fn permute_agents(game: &BayesianGame, perm: &[usize]) -> BayesianGame {
+    let mut inverse = vec![0; perm.len()];
+    for (j, &i) in perm.iter().enumerate() {
+        inverse[i] = j;
+    }
+    let reindex = |v: &[usize]| perm.iter().map(|&i| v[i]).collect::<Vec<usize>>();
+    let support = (0..game.support_len())
+        .map(|idx| {
+            let (types, prob, g) = game.state(idx);
+            let permuted =
+                MatrixFormGame::from_fn(g.num_agents(), &reindex(g.action_counts()), |j, a| {
+                    let old: Vec<usize> = inverse.iter().map(|&j2| a[j2]).collect();
+                    g.cost(perm[j], &old)
+                });
+            (reindex(types), prob, permuted)
+        })
+        .collect();
+    BayesianGame::new(reindex(game.type_counts()), support).expect("same prior")
+}
+
+/// `game` with every edge cost multiplied by `f`, over the same joint
+/// prior support.
+fn scale_edges(game: &BayesianNcsGame, f: f64) -> BayesianNcsGame {
+    let g = game.graph();
+    let mut scaled = Graph::with_nodes(g.direction(), g.node_count());
+    for (_, e) in g.edges() {
+        scaled.add_edge(e.source(), e.target(), e.cost() * f);
+    }
+    BayesianNcsGame::new(scaled, Prior::joint(game.support().to_vec())).expect("same prior")
+}
+
+/// All six measures of `a` and `b` agree within `approx_eq`.
+fn approx_same(a: Measures, b: Measures) -> bool {
+    bits(a)
+        .into_iter()
+        .zip(bits(b))
+        .all(|(x, y)| approx_eq(f64::from_bits(x), f64::from_bits(y)))
 }
 
 proptest! {
@@ -166,6 +211,44 @@ proptest! {
         });
         for (m, r) in both(&game).into_iter().zip(both(&relabelled)) {
             prop_assert_eq!(bits(m), bits(r));
+        }
+    }
+
+    /// Permuting the agents (types, type vectors and every state game
+    /// alike) leaves all six measures unchanged within `approx_eq` — the
+    /// sums run in a different order — with orbit reduction off and on,
+    /// and through the oracle.
+    #[test]
+    fn permuting_agents_leaves_every_measure_unchanged(seed in 0u64..2000, support in 1usize..5) {
+        use rand::seq::SliceRandom;
+        let (game, _) = random_bayesian_potential_game(&[2, 2, 1], &[2, 3, 2], support, seed);
+        let mut perm: Vec<usize> = (0..game.num_agents()).collect();
+        perm.shuffle(&mut bayesian_ignorance::util::rng::seeded(seed ^ 0x5eed));
+        let permuted = permute_agents(&game, &perm);
+        for mode in [SymmetryMode::Off, SymmetryMode::Auto] {
+            let solver = Solver::builder().symmetry(mode).build();
+            let m = solver.solve(&game).expect("solvable").measures;
+            let p = solver.solve(&permuted).expect("solvable").measures;
+            prop_assert!(approx_same(m, p), "{mode:?} {perm:?}: {m:?} vs {p:?}");
+        }
+        let m = reference::measures(&game).expect("solvable");
+        let p = reference::measures(&permuted).expect("solvable");
+        prop_assert!(approx_same(m, p), "oracle {perm:?}: {m:?} vs {p:?}");
+    }
+
+    /// Multiplying every edge cost of a random NCS game by 2^k scales all
+    /// six measures by exactly 2^k, as for matrix games.
+    #[test]
+    fn scaling_edge_costs_by_a_power_of_two_scales_every_ncs_measure(
+        seed in 0u64..500,
+        k in 1i32..4,
+    ) {
+        let game = random_bayesian_ncs(Direction::Directed, 4, 0.4, 2, 2, seed)
+            .expect("connected generator");
+        let f = 2f64.powi(k);
+        let scaled = scale_edges(&game, f);
+        for (m, s) in both(&game).into_iter().zip(both(&scaled)) {
+            prop_assert_eq!(bits(m).map(|b| (f64::from_bits(b) * f).to_bits()), bits(s));
         }
     }
 
